@@ -4,15 +4,20 @@ A quantized model is a pipeline of stages over bit activations (+1 -> bit 1,
 -1 -> bit 0):
 
   float stem   : real conv/linear on raw inputs, then fused batchnorm+sign
-  binary stage : packed popcount pre-activations, affine remap to the layer
-                 domain, fused batchnorm+sign back to bits
+  binary stage : channel-packed popcount pre-activations, affine remap to
+                 the layer domain, fused batchnorm+sign back to bits
   bit pool     : 2x2 max pool (OR on bits)
   head         : full-precision classifier on +-1 inputs
 
-Per-kernel Hamming-weight classification lets the binary stages skip work:
-weight-0 kernels vanish into the per-window activation-sum term, weight-1
-kernels reduce to an indexed gather, only the remaining dense kernels pay
-for popcounts. Skipping is exact: outputs are identical with it on or off.
+A binary stage packs the input channels of each pixel into words once (the
+narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
+channels) and holds its weights as (out, taps, words): 9 taps for a 3x3
+conv, 1 for a linear stage. z' is the AND+popcount of each tap's shifted
+(strided) input view against that tap's weight words, summed over the taps;
+padding is a halo of zero words (-1 activations). Skipping works per
+(output channel, tap): a row whose word at a tap is all zero is left out of
+that tap, so weight-0 kernels cost nothing beyond the activation-sum term.
+Skipping is exact: outputs are identical with it on or off.
 
 Integer pre-activations are exact by construction; the affine remap and the
 threshold comparison are the single canonical float expressions shared with
@@ -232,11 +237,14 @@ def affine_remap(z_prime, q, omega: OmegaParams):
 class OpsCounters:
     """What the engine actually executed.
 
-    position_ops follows the 2-ops-per-weight-position convention (XNOR +
-    accumulate), counting only positions inside executed dense kernels;
-    word_popcounts counts real uint64 AND+popcount pairs; gather_ops counts
-    single-kernel input gathers; flops counts float operations (2 per MAC in
-    full-precision layers, 3 per remapped output, 1 per threshold compare).
+    position_ops follows the paper's 2-ops-per-weight-position convention
+    (XNOR + accumulate): with skipping, 2 * 9 * K_dense per window of a conv
+    stage, else 2 per weight per window. word_popcounts counts the
+    channel-word AND+popcount pairs executed, at each stage's word width
+    (uint8 to uint64), so it shrinks with the (output channel, tap) words
+    skipped. gather_ops reads 0: no stage gathers any more. flops counts
+    float operations (2 per MAC in full-precision layers, 3 per remapped
+    output, 1 per threshold compare).
     """
 
     images: int = 0
@@ -307,46 +315,35 @@ class PackedLayer:
         return self.bits.size
 
 
+def _channel_words(bits, axis):
+    """Pack the {0,1} entries along `axis` into words on a new last axis: the
+    narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
+    bits. Bits go LSB-first and the padding bits are zero."""
+    packed = np.moveaxis(np.packbits(bits, axis=axis, bitorder="little"), axis, -1)
+    nbytes = packed.shape[-1]
+    width = min(8, 1 << (nbytes - 1).bit_length())
+    out = np.zeros(packed.shape[:-1] + (-(-nbytes // width) * width,), dtype=np.uint8)
+    out[..., :nbytes] = packed
+    return out.view(f"u{width}")
+
+
 @dataclass
 class BinStage:
     packed: PackedLayer
     threshold: FusedThreshold
 
-    # built lazily: packed words for the full and the dense-only paths
     def _prepare(self):
-        if getattr(self, "_full_words", None) is not None:
+        """Built lazily: the weights as channel words per kernel tap, shape
+        (out, taps, words) with 9 taps for a conv and 1 for a linear stage,
+        and per tap the output rows with a one-bit there."""
+        if getattr(self, "_words", None) is not None:
             return
         p = self.packed
-        self._full_words = pack(p.bits).words.reshape(p.out_ch, -1)
-        if p.kind == "conv3x3":
-            dense_bits = p.bits.copy().reshape(p.out_ch, p.in_ch, 9)
-            singles = [[] for _ in range(p.out_ch)]
-            for flat_idx, kc in enumerate(p.kernel_classes):
-                co, ci = divmod(flat_idx, p.in_ch)
-                if kc.tag == KERNEL_SINGLE:
-                    dense_bits[co, ci, :] = 0
-                    singles[co].append(ci * 9 + kc.index)
-                elif kc.tag == KERNEL_ZERO:
-                    dense_bits[co, ci, :] = 0
-            self._dense_words = pack(dense_bits.reshape(p.out_ch, -1)).words.reshape(
-                p.out_ch, -1
-            )
-            self._single_pos = [np.array(s, dtype=np.int64) for s in singles]
-            self._dense_rows = np.array(
-                [i for i in range(p.out_ch) if self._dense_words[i].any()],
-                dtype=np.int64,
-            )
-            self._dense_kernels_per_row = np.zeros(p.out_ch, dtype=np.int64)
-            for flat_idx, kc in enumerate(p.kernel_classes):
-                if kc.tag == KERNEL_DENSE:
-                    self._dense_kernels_per_row[flat_idx // p.in_ch] += 1
-        else:
-            self._dense_words = self._full_words
-            self._single_pos = None
-            self._dense_rows = np.arange(p.out_ch, dtype=np.int64)
-            self._dense_kernels_per_row = None
-        self._full_pop = _kernels.popcount_rows(self._full_words)
-        self._dense_pop = _kernels.popcount_rows(self._dense_words)
+        taps = 9 if p.kind == "conv3x3" else 1
+        words = _channel_words(p.bits.reshape(p.out_ch, -1, taps), axis=1)
+        self._tap_rows = [np.flatnonzero(words[:, t].any(axis=1)) for t in range(taps)]
+        self._ones = pack(p.bits).popcount()  # popcount(w) per output row
+        self._words = words
 
     def window_bits(self, x_bits):
         """Input windows as flat bits: (windows, fan_in) uint8 plus the
@@ -363,37 +360,44 @@ class BinStage:
     def forward(self, x_bits, counters: OpsCounters, skip: bool = True):
         self._prepare()
         p = self.packed
-        windows, out_hw = self.window_bits(x_bits)
-        nwin = windows.shape[0]
-        x_words = pack(windows).words.reshape(nwin, -1)
-        nwords = x_words.shape[1]
-        q = 2 * _kernels.popcount_rows(x_words) - p.fan_in
+        b = x_bits.shape[0]
+        conv = p.kind == "conv3x3"
+        ks, s, pad = (3, p.stride, p.padding) if conv else (1, 1, 0)
+        # (B, H, W, words); a linear stage is one pixel
+        x = _channel_words(x_bits if conv else x_bits.reshape(b, -1, 1, 1), axis=1)
+        if pad:  # a halo of zero words: bit 0 is -1, as window_bits pads
+            x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        ho, wo = (x.shape[1] - ks) // s + 1, (x.shape[2] - ks) // s + 1
+        nwin, nwords = b * ho * wo, x.shape[3]
 
-        # z' = sum over the row's 1-positions of the +-1 activations:
-        # 2 * popcount(x AND w) - popcount(w), assembled from the dense
-        # popcount part and the single-kernel gathers
-        zprime = np.zeros((p.out_ch, nwin), dtype=np.int64)
+        def shifted(a, t):
+            i, j = divmod(t, ks)
+            return a[:, i : i + s * (ho - 1) + 1 : s, j : j + s * (wo - 1) + 1 : s]
+
+        pixel_ones = _kernels.popcount_rows(x.reshape(-1, nwords)).reshape(x.shape[:3])
+        q = 2 * sum(shifted(pixel_ones, t) for t in range(ks * ks)).ravel() - p.fan_in
+
+        # z' = 2 * popcount(x AND w) - popcount(w), the AND+popcount summed
+        # over the taps' shifted inputs; skipping leaves out the rows whose
+        # word at a tap is all zero
+        overlap = np.zeros((p.out_ch, nwin), dtype=np.int32)
         word_ops = 0
-        gather_ops = 0
-        position_ops = 0
-        if skip and p.kind == "conv3x3":
-            rows = self._dense_rows
-            if rows.size:
-                overlap = _kernels.and_popcount_matmat(
-                    np.ascontiguousarray(self._dense_words[rows]), x_words
-                )
-                zprime[rows] = 2 * overlap - self._dense_pop[rows, None]
-                word_ops = rows.size * nwin * nwords
-                position_ops = int(2 * 9 * self._dense_kernels_per_row.sum() * nwin)
-            for co, pos in enumerate(self._single_pos):
-                if pos.size:
-                    ones = windows[:, pos].sum(axis=1, dtype=np.int64)
-                    zprime[co] += 2 * ones - pos.size
-                    gather_ops += pos.size * nwin
+        for t, rows in enumerate(self._tap_rows):
+            n = rows.size if skip else p.out_ch
+            if n == 0:
+                continue
+            win = shifted(x, t).reshape(nwin, nwords)
+            if n == p.out_ch:
+                overlap += _kernels.and_popcount_matmat(self._words[:, t], win)
+            else:  # row by row: in place, no gather/scatter copies
+                part = _kernels.and_popcount_matmat(self._words[rows, t], win)
+                for r, counts in zip(rows, part):
+                    overlap[r] += counts
+            word_ops += n * nwin * nwords
+        zprime = 2 * overlap - self._ones[:, None]
+        if skip and conv:
+            position_ops = 2 * 9 * p.kernel_counts[2] * nwin
         else:
-            overlap = _kernels.and_popcount_matmat(self._full_words, x_words)
-            zprime = 2 * overlap - self._full_pop[:, None]
-            word_ops = p.out_ch * nwin * nwords
             position_ops = 2 * p.weight_count * nwin
         z = affine_remap(zprime, q[None, :], p.omega)
         bits = self.threshold.decide(z)
@@ -401,18 +405,11 @@ class BinStage:
             f"bin_{p.kind}",
             position_ops=position_ops,
             word_popcounts=word_ops,
-            gather_ops=gather_ops,
             flops=int(3 * bits.size + bits.size),
             baseline_position_ops=2 * p.weight_count * nwin,
         )
-        if p.kind == "conv3x3":
-            b = x_bits.shape[0]
-            ho, wo = out_hw
-            return (
-                bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3),
-                (zprime, q),
-            )
-        return bits.T, (zprime, q)
+        out = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3) if conv else bits.T
+        return out, (zprime, q)
 
 
 @dataclass
@@ -498,14 +495,23 @@ class QuantizedModel:
         return [s for s in self.stages if isinstance(s, BinStage)]
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Worker threads from SBNN_THREADS (default 1), capped at the cores."""
     env = os.environ.get("SBNN_THREADS", "").strip()
     if not env:
         return 1
-    n = int(env)
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValidationError("SBNN_THREADS must be >= 1")
-    return n
+        raise ValidationError(f"SBNN_THREADS must be a positive integer, got {env!r}")
+    return min(n, os.cpu_count() or 1)
+
+
+def _require_finite(images):
+    if not np.isfinite(images).all():
+        raise ValidationError("images hold NaN or infinite values")
 
 
 def _infer_chunk(model, images, skip):
@@ -523,7 +529,8 @@ def _infer_chunk(model, images, skip):
 def infer(model: QuantizedModel, images, skip: bool = True, workers: int | None = None):
     """Run the engine over a batch: (logits, OpsCounters). `skip=False`
     forces the full popcount path (no kernel skipping) for equivalence
-    checks; outputs are identical either way."""
+    checks; outputs are identical either way. Images holding NaN or
+    infinite values are rejected with a ValidationError."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
@@ -531,10 +538,12 @@ def infer(model: QuantizedModel, images, skip: bool = True, workers: int | None 
         raise ValidationError(
             f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}"
         )
+    _require_finite(images)
     for stage in model.stages:
         if isinstance(stage, BinStage):
             stage._prepare()  # before any fan-out: workers share the stage
-    nworkers = workers if workers is not None else _worker_count()
+    nworkers = workers if workers is not None else worker_count()
+    # fan out only with at least two images per worker
     if nworkers <= 1 or images.shape[0] < 2 * nworkers:
         return _infer_chunk(model, images, skip)
     from concurrent.futures import ThreadPoolExecutor
@@ -558,6 +567,7 @@ def reference_forward(model: QuantizedModel, images):
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
+    _require_finite(images)
     counters = OpsCounters()
     x = images
     for stage in model.stages:

@@ -12,9 +12,7 @@ import pytest
 
 from sbnn import binquant as bq
 from sbnn import dataio, engine, metrics, modelio, nn, sparsity
-from sbnn.bitpack import pack
 from sbnn.train import TrainConfig, quantize_network, quantize_snapshot, take_snapshot, train
-from sbnn import _kernels
 
 from helpers import bisect_entropy_inverse, brute_force_omega, quant_sq_loss
 
@@ -191,20 +189,19 @@ def test_criterion_5_engine_bit_exactness(announce):
         counters = engine.OpsCounters()
         for stage in model.stages:
             if isinstance(stage, engine.BinStage):
-                stage._prepare()
                 fanin_max = max(fanin_max, stage.packed.fan_in)
                 windows, _ = stage.window_bits(x)
                 w01 = stage.packed.bits.astype(np.int64)
                 x_pm = 2 * windows.astype(np.int64) - 1
                 zprime_oracle = w01 @ x_pm.T
                 q_oracle = x_pm.sum(axis=1)
-                x_words = pack(windows).words.reshape(windows.shape[0], -1)
-                overlap = _kernels.and_popcount_matmat(stage._full_words, x_words)
-                zprime = 2 * overlap - stage._full_pop[:, None]
-                q = 2 * _kernels.popcount_rows(x_words) - stage.packed.fan_in
-                assert np.array_equal(zprime, zprime_oracle)
-                assert np.array_equal(q, q_oracle)
-                x, _ = stage.forward(x, counters)
+                # what forward computed, with skipping on and off
+                bits_off, (zp_off, q_off) = stage.forward(x, engine.OpsCounters(), skip=False)
+                x, (zprime, q) = stage.forward(x, counters, skip=True)
+                for zp, qq in ((zprime, q), (zp_off, q_off)):
+                    assert np.array_equal(zp, zprime_oracle)
+                    assert np.array_equal(qq, q_oracle)
+                assert np.array_equal(x, bits_off)
             else:
                 x = stage.forward(x, counters)
         # skipping soundness on the full pipeline

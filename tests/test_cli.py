@@ -131,6 +131,41 @@ class TestQuantizeEvalBenchInspect:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("threads", ["two", "1.5", "0", "-1"])
+    def test_eval_malformed_threads_is_config_error(
+        self, trained_run, tmp_path, capsys, monkeypatch, threads
+    ):
+        model_path = tmp_path / "m.sbnn"
+        assert run_cli(
+            ["quantize", "--snapshot", str(trained_run / "snapshot.npz"),
+             "--out", str(model_path)]
+        ) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SBNN_THREADS", threads)
+        code = run_cli(
+            ["eval", "--model", str(model_path), "--synthetic", "--samples", "16",
+             "--image-hw", "8", "--seed", "7"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SBNN_THREADS" in err and threads in err
+
+    def test_eval_nonfinite_images_is_data_error(self, trained_run, tmp_path, capsys):
+        model_path = tmp_path / "m.sbnn"
+        assert run_cli(
+            ["quantize", "--snapshot", str(trained_run / "snapshot.npz"),
+             "--out", str(model_path)]
+        ) == 0
+        capsys.readouterr()
+        # a NaN noise scale makes every synthetic image NaN
+        code = run_cli(
+            ["eval", "--model", str(model_path), "--synthetic", "--samples", "16",
+             "--image-hw", "8", "--seed", "7", "--difficulty", "nan"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NaN" in err
+
     def test_bench_prints_report(self, trained_run, tmp_path, capsys):
         model_path = tmp_path / "m.sbnn"
         assert run_cli(

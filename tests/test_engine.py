@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from sbnn import engine
 from sbnn.binquant import OmegaParams, ValidationError
-from sbnn.bitpack import pack
 
 
 def dense_int_preacts(bits, windows):
@@ -179,19 +179,15 @@ class TestEngineBitExactness:
         counters = engine.OpsCounters()
         for stage in model.stages:
             if isinstance(stage, engine.BinStage):
-                stage._prepare()
                 windows, out_hw = stage.window_bits(x)
                 zprime_oracle, q_oracle = dense_int_preacts(stage.packed.bits, windows)
-                # engine path
-                x_words = pack(windows).words.reshape(windows.shape[0], -1)
-                from sbnn import _kernels
-
-                overlap = _kernels.and_popcount_matmat(stage._full_words, x_words)
-                zprime = 2 * overlap - stage._full_pop[:, None]
-                q = 2 * _kernels.popcount_rows(x_words) - stage.packed.fan_in
-                assert np.array_equal(zprime, zprime_oracle)
-                assert np.array_equal(q, q_oracle)
-                x, _ = stage.forward(x, counters)
+                # what forward computed, with skipping on and off
+                bits_off, (zp_off, q_off) = stage.forward(x, engine.OpsCounters(), skip=False)
+                x, (zprime, q) = stage.forward(x, counters, skip=True)
+                for zp, qq in ((zprime, q), (zp_off, q_off)):
+                    assert np.array_equal(zp, zprime_oracle)
+                    assert np.array_equal(qq, q_oracle)
+                assert np.array_equal(x, bits_off)
             else:
                 x = stage.forward(x, counters)
 
@@ -326,3 +322,27 @@ class TestEngineBitExactness:
         monkeypatch.setenv("SBNN_THREADS", "0")
         with pytest.raises(ValidationError):
             engine.infer(model, images)
+
+    @pytest.mark.parametrize("threads", ["two", "1.5", "-1", ""])
+    def test_thread_env_parse(self, monkeypatch, threads):
+        monkeypatch.setenv("SBNN_THREADS", threads)
+        if threads:
+            with pytest.raises(ValidationError, match="SBNN_THREADS"):
+                engine.worker_count()
+        else:
+            assert engine.worker_count() == 1
+
+    def test_thread_env_capped_at_cores(self, monkeypatch):
+        monkeypatch.setenv("SBNN_THREADS", str(64 * (os.cpu_count() or 1)))
+        assert engine.worker_count() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_images_rejected(self, bad):
+        rng = np.random.default_rng(25)
+        model = build_random_model(rng)
+        images = rng.normal(size=(2,) + tuple(model.input_shape))
+        images[1, 0, 2, 3] = bad
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            engine.infer(model, images)
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            engine.reference_forward(model, images)

@@ -1,10 +1,14 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and fixed models for the test suite.
 
-These deliberately avoid the library's own code paths: brute-force grids,
-golden-section refinement, finite differences, and dense integer arithmetic.
+The oracles deliberately avoid the library's own code paths: brute-force
+grids, golden-section refinement, finite differences, and dense integer
+arithmetic.
 """
 
 import numpy as np
+
+from sbnn import engine
+from sbnn.binquant import OmegaParams
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,3 +90,43 @@ def bisect_entropy_inverse(target, tol=1e-13):
 def dense_sign_dot(w_bits, x_signs):
     """sum over the weight's 1-positions of +-1 activations, in plain ints."""
     return int(sum(int(x) for b, x in zip(w_bits, x_signs) if b == 1))
+
+
+def golden_model():
+    """A fixed, seeded quantized model: float stem, a binary 3x3 conv whose
+    kernels include Zero, Single at index 0 and at index 8, and Dense, a bit
+    pool, a binary linear stage and the head."""
+    rng = np.random.default_rng(20231)
+
+    def threshold(n):
+        return engine.FusedThreshold.from_batchnorm(
+            rng.normal(1.0, 0.5, n), rng.normal(0, 0.5, n),
+            rng.normal(0, 1.0, n), rng.uniform(0.05, 2.0, n),
+        )
+
+    kernels = (rng.random((5 * 3, 9)) < 0.4).astype(np.uint8)
+    kernels[0] = 0
+    kernels[1] = np.eye(9, dtype=np.uint8)[0]
+    kernels[2] = np.eye(9, dtype=np.uint8)[8]
+    kernels[3] = 1
+    conv = engine.PackedLayer(
+        kind="conv3x3", in_ch=3, out_ch=5, stride=1, padding=1,
+        bits=kernels.reshape(5, 27), omega=OmegaParams(tau=0.5, phi=-0.1),
+    )
+    linear = engine.PackedLayer(
+        kind="linear", in_ch=5 * 4 * 4, out_ch=7, stride=1, padding=0,
+        bits=(rng.random((7, 80)) < 0.3).astype(np.uint8),
+        omega=OmegaParams(tau=0.3, phi=0.05),
+    )
+    stem = engine.FloatStage(
+        kind="conv3x3", in_ch=1, out_ch=3, stride=1, padding=1,
+        weight=rng.normal(size=(3, 1, 3, 3)), threshold=threshold(3),
+    )
+    stages = [
+        stem,
+        engine.BinStage(packed=conv, threshold=threshold(5)),
+        engine.BitPool(),
+        engine.BinStage(packed=linear, threshold=threshold(7)),
+        engine.Head(weight=rng.normal(size=(2, 7)), bias=rng.normal(size=2)),
+    ]
+    return engine.QuantizedModel(stages=stages, input_shape=(1, 8, 8), classes=2)

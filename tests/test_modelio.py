@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from helpers import golden_model
 from sbnn import dataio, engine, metrics, modelio, nn
 from sbnn.binquant import OmegaParams
 from sbnn.train import quantize_network
@@ -100,6 +103,18 @@ class TestHeaderErrors:
         data = modelio.encode(random_model(rng))
         with pytest.raises(modelio.TruncatedStream):
             modelio.decode(data[:6])
+
+
+class TestGoldenBytes:
+    def test_encoding_is_pinned(self):
+        m = golden_model()
+        assert m.stages[1].packed.kernel_counts == (1, 3, 11)
+        data = modelio.encode(m)
+        assert len(data) == 684
+        assert hashlib.sha256(data).hexdigest() == (
+            "46f53e47f28643bc8d17e58e61f3bb488e50f816a9b2b3d4a8a29e33b318a695"
+        )
+        assert modelio.encode(modelio.decode(data)) == data
 
 
 class TestRoundTrip:

@@ -19,7 +19,6 @@ from .binquant import (
 from .bitpack import PackedBits, pack, pack_signs, popcount_dot, q_compute
 from .engine import (
     FusedThreshold,
-    KernelClass,
     OpsCounters,
     PackedLayer,
     QuantizedModel,

@@ -70,13 +70,6 @@ def _and_popcount_matmat_numpy(a, b):
     return out
 
 
-def _and_popcount_matvec_numpy(a, x):
-    """out[r] = sum_k popcount(a[r, k] & x[k])."""
-    if a.shape[1] == 0:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    return np.bitwise_count(a & x[None, :]).sum(axis=1).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # numba backend (SWAR popcount; numba has no np.bitwise_count)
 # ---------------------------------------------------------------------------
@@ -129,35 +122,22 @@ if _HAS_NUMBA:
                 out[i, j] = acc
         return out
 
-    @njit(cache=True)
-    def _and_popcount_matvec_numba(a, x):
-        r, nw = a.shape
-        out = np.empty(r, dtype=np.int64)
-        for i in range(r):
-            acc = 0
-            for k in range(nw):
-                acc += int(_pc64(a[i, k] & x[k]))
-            out[i] = acc
-        return out
-
     def _popcount_words_numba_wrap(words):
         return _popcount_words_numba(np.ascontiguousarray(words))
 
     popcount_words = _popcount_words_numba_wrap
     popcount_rows = _popcount_rows_numba
     and_popcount_matmat = _and_popcount_matmat_numba
-    and_popcount_matvec = _and_popcount_matvec_numba
 else:
     popcount_words = _popcount_words_numpy
     popcount_rows = _popcount_rows_numpy
     and_popcount_matmat = _and_popcount_matmat_numpy
-    and_popcount_matvec = _and_popcount_matvec_numpy
 
 
 def backend_pairs():
     """(name, kernels) per available backend, for parity tests and the
     benchmark. Each kernels dict has popcount_words / popcount_rows /
-    and_popcount_matmat / and_popcount_matvec."""
+    and_popcount_matmat."""
     out = [
         (
             "numpy",
@@ -165,7 +145,6 @@ def backend_pairs():
                 "popcount_words": _popcount_words_numpy,
                 "popcount_rows": _popcount_rows_numpy,
                 "and_popcount_matmat": _and_popcount_matmat_numpy,
-                "and_popcount_matvec": _and_popcount_matvec_numpy,
             },
         )
     ]
@@ -177,7 +156,6 @@ def backend_pairs():
                     "popcount_words": _popcount_words_numba_wrap,
                     "popcount_rows": _popcount_rows_numba,
                     "and_popcount_matmat": _and_popcount_matmat_numba,
-                    "and_popcount_matvec": _and_popcount_matvec_numba,
                 },
             )
         )

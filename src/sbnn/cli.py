@@ -43,10 +43,7 @@ DATA_ERRORS = (
     dataio.LabelOutOfRange,
     dataio.BadMagic,
     dataio.CountMismatch,
-    modelio.BadMagic,
-    modelio.BadVersion,
-    modelio.CrcMismatch,
-    modelio.TruncatedStream,
+    modelio.ModelFileError,
 )
 
 

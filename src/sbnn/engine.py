@@ -48,48 +48,18 @@ KERNEL_SINGLE = 1
 KERNEL_DENSE = 2
 
 
-@dataclass(frozen=True)
-class KernelClass:
-    """One 3x3 kernel: Zero (no 1-bits), Single (index of the lone 1-bit),
-    or Dense (the 9-bit pattern, LSB = position 0)."""
-
-    tag: int
-    index: int = -1  # 0..8 for Single
-    pattern: int = 0  # 9-bit pattern for Dense
-
-    @classmethod
-    def from_bits(cls, bits9) -> "KernelClass":
-        bits9 = np.asarray(bits9).ravel()
-        if bits9.size != 9:
-            raise ValidationError("kernel must have exactly 9 bits")
-        hw = int(bits9.sum())
-        if hw == 0:
-            return cls(KERNEL_ZERO)
-        if hw == 1:
-            return cls(KERNEL_SINGLE, index=int(np.argmax(bits9)))
-        pattern = int(np.dot(bits9.astype(np.int64), 1 << np.arange(9)))
-        return cls(KERNEL_DENSE, pattern=pattern)
-
-    @property
-    def hamming_weight(self) -> int:
-        if self.tag == KERNEL_ZERO:
-            return 0
-        if self.tag == KERNEL_SINGLE:
-            return 1
-        return bin(self.pattern).count("1")
-
-
 def classify_kernels(bits):
-    """Classify a layer's kernels. `bits` is any {0,1} array whose size is
-    divisible by 9; kernels are consecutive groups of 9 bits. Returns
-    (classes, (k0, k1, kdense))."""
+    """Classify a layer's kernels by Hamming weight. `bits` is any {0,1}
+    array whose size is divisible by 9; kernels are consecutive groups of 9
+    bits. Returns (tags, (k0, k1, kdense)): one uint8 tag per kernel,
+    KERNEL_ZERO (no 1-bits), KERNEL_SINGLE (one) or KERNEL_DENSE (more)."""
     flat = np.asarray(bits).ravel()
     if flat.size % 9:
         raise ValidationError("bit count not divisible by 9")
-    classes = [KernelClass.from_bits(flat[i : i + 9]) for i in range(0, flat.size, 9)]
-    k0 = sum(1 for c in classes if c.tag == KERNEL_ZERO)
-    k1 = sum(1 for c in classes if c.tag == KERNEL_SINGLE)
-    return classes, (k0, k1, len(classes) - k0 - k1)
+    hw = flat.reshape(-1, 9).sum(axis=1)
+    tags = np.minimum(hw, KERNEL_DENSE).astype(np.uint8)
+    k0, k1, kd = np.bincount(tags, minlength=3).tolist()
+    return tags, (k0, k1, kd)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +255,8 @@ class OpsCounters:
 
 @dataclass
 class PackedLayer:
-    """A binarized layer in engine form: packed {0,1} weights plus the
-    kernel classification that drives skipping."""
+    """A binarized layer in engine form: {0,1} weights plus, for a conv, the
+    per-kernel class tags and the (k0, k1, kdense) counts."""
 
     kind: str  # "conv3x3" | "linear"
     in_ch: int
@@ -295,16 +265,14 @@ class PackedLayer:
     padding: int
     bits: np.ndarray  # (out_ch, fan_in) uint8
     omega: OmegaParams
-    kernel_classes: list | None = None  # conv only: out_ch * in_ch entries
+    kernel_tags: np.ndarray | None = None  # conv only: out_ch * in_ch uint8 tags
     kernel_counts: tuple = (0, 0, 0)
 
     def __post_init__(self):
         if not (self.omega.degenerate or self.omega.is_canonical):
             raise ValidationError("packed layers require canonical omega")
-        if self.kind == "conv3x3" and self.kernel_classes is None:
-            classes, counts = classify_kernels(self.bits)
-            self.kernel_classes = classes
-            self.kernel_counts = counts
+        if self.kind == "conv3x3" and self.kernel_tags is None:
+            self.kernel_tags, self.kernel_counts = classify_kernels(self.bits)
 
     @property
     def fan_in(self) -> int:
@@ -581,6 +549,8 @@ def reference_forward(model: QuantizedModel, images):
             q = windows.sum(axis=1, dtype=np.int64) * 2 - p.fan_in
             z = affine_remap(zprime, q[None, :].astype(np.float64), p.omega)
             bits = stage.threshold.decide(z)
+            # free the float64 windows before the next stage builds its own
+            del windows, x_pm, zprime, z
             if p.kind == "conv3x3":
                 b = x.shape[0]
                 ho, wo = out_hw

@@ -69,11 +69,10 @@ def bops_pruning_ratio(counted: float, baseline: float) -> float:
 
 def kernel_hamming_fractions(packed_layer) -> np.ndarray:
     """Fractions of the layer's 3x3 kernels at each Hamming weight 0..9."""
-    if packed_layer.kernel_classes is None:
+    if packed_layer.kernel_tags is None:
         raise ValidationError("layer has no 3x3 kernels")
-    hist = np.zeros(10, dtype=np.int64)
-    for kc in packed_layer.kernel_classes:
-        hist[kc.hamming_weight] += 1
+    hw = packed_layer.bits.reshape(-1, 9).sum(axis=1, dtype=np.int64)
+    hist = np.bincount(hw, minlength=10)
     return hist / hist.sum()
 
 

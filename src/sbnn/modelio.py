@@ -34,6 +34,7 @@ bit count.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -43,7 +44,6 @@ from .binquant import OmegaParams, ValidationError
 from .engine import (
     KERNEL_DENSE,
     KERNEL_SINGLE,
-    KERNEL_ZERO,
     BinStage,
     BitPool,
     FloatStage,
@@ -52,6 +52,7 @@ from .engine import (
     PackedLayer,
     QuantizedModel,
 )
+from .metrics import bparams_bits
 
 MAGIC = b"SBNN"
 VERSION = 1
@@ -64,69 +65,24 @@ TAG_POOL = 5
 TAG_HEAD = 6
 
 
-class BadMagic(ValidationError):
+class ModelFileError(ValidationError):
+    """A model file that cannot be decoded into a runnable model."""
+
+
+class BadMagic(ModelFileError):
     pass
 
 
-class BadVersion(ValidationError):
+class BadVersion(ModelFileError):
     pass
 
 
-class CrcMismatch(ValidationError):
+class CrcMismatch(ModelFileError):
     pass
 
 
-class TruncatedStream(ValidationError):
+class TruncatedStream(ModelFileError):
     pass
-
-
-class _BitWriter:
-    """MSB-first bit stream."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self.bits_written = 0
-
-    def write(self, value: int, nbits: int):
-        if value < 0 or value >= (1 << nbits):
-            raise ValidationError(f"value {value} does not fit in {nbits} bits")
-        for shift in range(nbits - 1, -1, -1):
-            self._acc = (self._acc << 1) | ((value >> shift) & 1)
-            self._nbits += 1
-            if self._nbits == 8:
-                self._bytes.append(self._acc)
-                self._acc = 0
-                self._nbits = 0
-        self.bits_written += nbits
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self._bytes)
-        if self._nbits:
-            out.append(self._acc << (8 - self._nbits))
-        return bytes(out)
-
-
-class _BitReader:
-    def __init__(self, data: bytes, offset_base: int = 0):
-        self._data = data
-        self._pos = 0  # bit position
-        self._offset_base = offset_base
-
-    def read(self, nbits: int) -> int:
-        end = self._pos + nbits
-        if end > 8 * len(self._data):
-            raise TruncatedStream(
-                f"bit stream ends at byte offset {self._offset_base + len(self._data)}"
-            )
-        value = 0
-        for _ in range(nbits):
-            byte = self._data[self._pos // 8]
-            bit = (byte >> (7 - self._pos % 8)) & 1
-            value = (value << 1) | bit
-            self._pos += 1
-        return value
 
 
 class _Cursor:
@@ -163,8 +119,7 @@ def kernel_payload_bits(packed: PackedLayer) -> int:
     """Bit length of the kernel-class payload, excluding byte padding."""
     if packed.kind != "conv3x3":
         return packed.bits.size
-    k0, k1, kd = packed.kernel_counts
-    return 2 * (k0 + k1 + kd) + 4 * k1 + 9 * kd
+    return bparams_bits(*packed.kernel_counts)
 
 
 def payload_bits(model: QuantizedModel) -> int:
@@ -183,27 +138,17 @@ def _emit_threshold(out: bytearray, thr: FusedThreshold):
 
 
 def _encode_kernel_payload(packed: PackedLayer) -> bytes:
-    writer = _BitWriter()
-    if packed.kind == "conv3x3":
-        for kc in packed.kernel_classes:
-            if kc.tag == KERNEL_ZERO:
-                writer.write(0b00, 2)
-            elif kc.tag == KERNEL_SINGLE:
-                writer.write(0b01, 2)
-            else:
-                writer.write(0b10, 2)
-        for kc in packed.kernel_classes:
-            if kc.tag == KERNEL_SINGLE:
-                writer.write(kc.index, 4)
-        for kc in packed.kernel_classes:
-            if kc.tag == KERNEL_DENSE:
-                for pos in range(9):
-                    writer.write((kc.pattern >> pos) & 1, 1)
-    else:
-        for bit in packed.bits.ravel():
-            writer.write(int(bit), 1)
-    assert writer.bits_written == kernel_payload_bits(packed)
-    return writer.getvalue()
+    if packed.kind != "conv3x3":
+        return np.packbits(packed.bits).tobytes()
+    tags = packed.kernel_tags
+    kernels = packed.bits.reshape(-1, 9)
+    # a tag is its own 2-bit class code; a Single index is 4 bits, MSB first
+    codes = np.unpackbits(tags[:, None], axis=1)[:, 6:]
+    index = kernels[tags == KERNEL_SINGLE].argmax(axis=1).astype(np.uint8)
+    index_bits = np.unpackbits(index[:, None], axis=1)[:, 4:]
+    dense = kernels[tags == KERNEL_DENSE]
+    stream = np.concatenate([codes.ravel(), index_bits.ravel(), dense.ravel()])
+    return np.packbits(stream).tobytes()
 
 
 def encode(model: QuantizedModel) -> bytes:
@@ -261,39 +206,67 @@ def _read_threshold(cur: _Cursor, channels: int) -> FusedThreshold:
 
 
 def _decode_kernel_payload(cur: _Cursor, kind, out_ch, fan_in):
-    if kind == "conv3x3":
-        kernels = out_ch * (fan_in // 9)
-        head_bits = 2 * kernels
-        # first pass over the class codes to size the stream
-        probe = _BitReader(cur.data[cur.pos :], offset_base=cur.pos)
-        tags = [probe.read(2) for _ in range(kernels)]
-        if any(t == 0b11 for t in tags):
-            raise ValidationError(
-                f"invalid kernel class code at byte offset ~{cur.pos}"
-            )
-        n_single = sum(1 for t in tags if t == 0b01)
-        n_dense = sum(1 for t in tags if t == 0b10)
-        total_bits = head_bits + 4 * n_single + 9 * n_dense
-        nbytes = (total_bits + 7) // 8
-        reader = _BitReader(cur.take(nbytes), offset_base=cur.pos - nbytes)
-        bits = np.zeros((kernels, 9), dtype=np.uint8)
-        tags = [reader.read(2) for _ in range(kernels)]
-        for k, t in enumerate(tags):
-            if t == 0b01:
-                idx = reader.read(4)
-                if idx > 8:
-                    raise ValidationError(f"single-kernel index {idx} out of range")
-                bits[k, idx] = 1
-        for k, t in enumerate(tags):
-            if t == 0b10:
-                for pos in range(9):
-                    bits[k, pos] = reader.read(1)
-        return bits.reshape(out_ch, fan_in)
-    nbits = out_ch * fan_in
-    nbytes = (nbits + 7) // 8
-    reader = _BitReader(cur.take(nbytes), offset_base=cur.pos - nbytes)
-    flat = np.array([reader.read(1) for _ in range(nbits)], dtype=np.uint8)
-    return flat.reshape(out_ch, fan_in)
+    """{0,1} weights (out_ch, fan_in). Every array is sized only after the
+    bytes it is read from have been taken from the stream."""
+    if kind != "conv3x3":
+        nbits = out_ch * fan_in
+        raw = np.frombuffer(cur.take((nbits + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(raw, count=nbits).reshape(out_ch, fan_in)
+    kernels = out_ch * (fan_in // 9)
+    head = cur.data[cur.pos : cur.pos + (2 * kernels + 7) // 8]
+    if 4 * len(head) < kernels:
+        raise TruncatedStream(
+            f"{kernels} kernel class codes at offset {cur.pos}, file has {len(cur.data)} bytes"
+        )
+    codes = np.unpackbits(np.frombuffer(head, dtype=np.uint8), count=2 * kernels)
+    tags = 2 * codes[0::2] + codes[1::2]
+    if (tags > KERNEL_DENSE).any():
+        raise ModelFileError(f"invalid kernel class code 0b11 at offset {cur.pos}")
+    single = np.flatnonzero(tags == KERNEL_SINGLE)
+    dense = np.flatnonzero(tags == KERNEL_DENSE)
+    nbits = 2 * kernels + 4 * single.size + 9 * dense.size
+    raw = np.frombuffer(cur.take((nbits + 7) // 8), dtype=np.uint8)
+    stream = np.unpackbits(raw, count=nbits)[2 * kernels :]
+    index = stream[: 4 * single.size].reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
+    if (index > 8).any():
+        raise ModelFileError(f"single-kernel index {index.max()} out of range 0..8")
+    bits = np.zeros((kernels, 9), dtype=np.uint8)
+    bits[single, index] = 1
+    bits[dense] = stream[4 * single.size :].reshape(-1, 9)
+    return bits.reshape(out_ch, fan_in)
+
+
+def _check_chain(stages, in_shape):
+    """Raise ModelFileError unless every stage takes the shape the stage
+    before it gives: a conv its channel count, a pool an even-sized map, a
+    linear stage or the head its flattened feature count."""
+    shape = in_shape
+    for i, stage in enumerate(stages):
+        if isinstance(stage, BitPool):
+            if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
+                raise ModelFileError(f"stage {i}: pool needs an even-sized map, gets {shape}")
+            shape = (shape[0], shape[1] // 2, shape[2] // 2)
+            continue
+        if isinstance(stage, Head):
+            kind, (out_ch, in_ch) = "linear", stage.weight.shape
+        else:
+            layer = stage.packed if isinstance(stage, BinStage) else stage
+            kind, in_ch, out_ch = layer.kind, layer.in_ch, layer.out_ch
+        if kind == "linear":
+            if math.prod(shape) != in_ch:
+                raise ModelFileError(
+                    f"stage {i}: input width {in_ch}, gets {math.prod(shape)} features"
+                )
+            shape = (out_ch,)
+            continue
+        if len(shape) != 3 or shape[0] != in_ch:
+            raise ModelFileError(f"stage {i}: conv takes {in_ch} channels, gets shape {shape}")
+        if layer.stride < 1:
+            raise ModelFileError(f"stage {i}: conv stride {layer.stride}")
+        hw = tuple((d + 2 * layer.padding - 3) // layer.stride + 1 for d in shape[1:])
+        if min(hw) < 0:
+            raise ModelFileError(f"stage {i}: conv window does not fit a {shape[1:]} map")
+        shape = (out_ch,) + hw
 
 
 def decode(data: bytes) -> QuantizedModel:
@@ -330,7 +303,7 @@ def decode(data: bytes) -> QuantizedModel:
                 wshape = (out_ch, in_ch)
                 kind = "linear"
             takes_bits = bool(cur.u8())
-            weight = cur.f64s(int(np.prod(wshape))).reshape(wshape)
+            weight = cur.f64s(math.prod(wshape)).reshape(wshape)
             thr = _read_threshold(cur, out_ch)
             stages.append(
                 FloatStage(
@@ -359,15 +332,18 @@ def decode(data: bytes) -> QuantizedModel:
             thr = _read_threshold(cur, out_ch)
             bits = _decode_kernel_payload(cur, kind, out_ch, fan_in)
             omega = OmegaParams(tau=tau, phi=phi, degenerate=degenerate)
-            packed = PackedLayer(
-                kind=kind,
-                in_ch=in_ch,
-                out_ch=out_ch,
-                stride=stride,
-                padding=pad,
-                bits=bits,
-                omega=omega,
-            )
+            try:
+                packed = PackedLayer(
+                    kind=kind,
+                    in_ch=in_ch,
+                    out_ch=out_ch,
+                    stride=stride,
+                    padding=pad,
+                    bits=bits,
+                    omega=omega,
+                )
+            except ValidationError as exc:  # a non-canonical domain
+                raise ModelFileError(f"stage {len(stages)}: {exc}") from exc
             stages.append(BinStage(packed=packed, threshold=thr))
         elif tag == TAG_POOL:
             stages.append(BitPool())
@@ -377,11 +353,12 @@ def decode(data: bytes) -> QuantizedModel:
             bias = cur.f64s(out_f)
             stages.append(Head(weight=weight, bias=bias))
         else:
-            raise ValidationError(f"unknown stage tag {tag} at offset {cur.pos - 1}")
+            raise ModelFileError(f"unknown stage tag {tag} at offset {cur.pos - 1}")
     if cur.pos != len(body):
         raise TruncatedStream(
             f"{len(body) - cur.pos} unread bytes after last stage (offset {cur.pos + 8})"
         )
+    _check_chain(stages, in_shape)
     return QuantizedModel(stages=stages, input_shape=in_shape, classes=classes)
 
 

@@ -315,7 +315,8 @@ class BatchNorm(Layer):
 
     def backward(self, grad_out):
         x, xhat, mean, inv_std, axes, bshape, train = self._cache
-        self.dgamma_dbeta(grad_out, xhat, axes)
+        self.gamma.grad += np.sum(grad_out * xhat, axis=axes)
+        self.beta.grad += np.sum(grad_out, axis=axes)
         dxhat = grad_out * self.gamma.value.reshape(bshape)
         if not train:
             return dxhat * inv_std.reshape(bshape)
@@ -329,10 +330,6 @@ class BatchNorm(Layer):
             + dvar.reshape(bshape) * 2.0 * xc / m
             + dmean.reshape(bshape) / m
         )
-
-    def dgamma_dbeta(self, grad_out, xhat, axes):
-        self.gamma.grad += np.sum(grad_out * xhat, axis=axes)
-        self.beta.grad += np.sum(grad_out, axis=axes)
 
 
 class SignAct(Layer):

@@ -116,22 +116,3 @@ def lambda_update(loss_bnn: float, j_value: float, gamma: float) -> float:
     if gamma == 0.0 or j_value <= J_EPSILON:
         return 0.0
     return gamma * loss_bnn / ((1.0 - gamma) * j_value)
-
-
-@dataclass
-class PenaltyState:
-    """Per-step snapshot of the penalty bookkeeping, owned by the training
-    loop. gamma stays fixed for a whole run; lambda and j change every
-    step."""
-
-    gamma: float
-    ec: float
-    lam: float = 0.0
-    j_value: float = 0.0
-
-    def update(self, loss_bnn: float, wb_all) -> float:
-        """Recompute j from the concatenated sign weights and re-solve
-        lambda; returns lambda."""
-        self.j_value = penalty_j(wb_all, self.ec)
-        self.lam = lambda_update(loss_bnn, self.j_value, self.gamma)
-        return self.lam

@@ -130,3 +130,29 @@ def golden_model():
         engine.Head(weight=rng.normal(size=(2, 7)), bias=rng.normal(size=2)),
     ]
     return engine.QuantizedModel(stages=stages, input_shape=(1, 8, 8), classes=2)
+
+
+def reference_kernel_payload(kind, bits):
+    """The model file's kernel payload built bit by bit in plain Python:
+    MSB-first, byte-padded. A linear layer is its raw bits; a conv layer is
+    a 2-bit class code per kernel (00 zero, 01 single, 10 dense), then a
+    4-bit index per single kernel, then 9 raw bits per dense kernel."""
+    flat = [int(b) for b in np.asarray(bits).ravel()]
+    if kind == "conv3x3":
+        kernels = [flat[i : i + 9] for i in range(0, len(flat), 9)]
+        codes = [min(sum(k), 2) for k in kernels]
+        stream = [bit for c in codes for bit in (c >> 1, c & 1)]
+        for k, c in zip(kernels, codes):
+            if c == 1:
+                i = k.index(1)
+                stream += [(i >> s) & 1 for s in (3, 2, 1, 0)]
+        for k, c in zip(kernels, codes):
+            if c == 2:
+                stream += k
+    else:
+        stream = flat
+    stream += [0] * (-len(stream) % 8)
+    return bytes(
+        sum(bit << (7 - j) for j, bit in enumerate(stream[i : i + 8]))
+        for i in range(0, len(stream), 8)
+    )

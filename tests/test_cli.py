@@ -1,10 +1,13 @@
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
-from sbnn import modelio
+from helpers import golden_model
+from sbnn import engine, modelio
 from sbnn.cli import main
 from sbnn.train import TrainReport, load_snapshot
 
@@ -197,6 +200,111 @@ class TestQuantizeEvalBenchInspect:
         code = run_cli(["inspect", "--snapshot", str(trained_run / "snapshot.npz")])
         assert code == 0
         assert "p(ones)" in capsys.readouterr().out
+
+
+def _with_crc(data):
+    """The file with its trailing crc recomputed over the edited body."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[8:-4]))
+
+
+def _stage_offset(model, i):
+    """File offset of stage i's tag byte: the length of the file holding
+    the stages before it, less its crc."""
+    head = engine.QuantizedModel(model.stages[:i], model.input_shape, model.classes)
+    return len(modelio.encode(head)) - 4
+
+
+def _payload_offset(model, i):
+    """File offset of binary stage i's kernel payload."""
+    payload = modelio._encode_kernel_payload(model.stages[i].packed)
+    return _stage_offset(model, i + 1) - len(payload)
+
+
+def _unknown_tag(m, data):
+    data[_stage_offset(m, 1)] = 99
+
+
+def _class_code_11(m, data):
+    data[_payload_offset(m, 1)] |= 0xC0  # kernel 0 (Zero) becomes 0b11
+
+
+def _single_index_9(m, data):
+    # 15 kernels: the first Single index (kernel 1, index 0) is payload bits
+    # 30..33; set it to 0b1001
+    off = _payload_offset(m, 1)
+    data[off + 3] |= 0x02
+    data[off + 4] |= 0x40
+
+
+def _non_canonical_tau(m, data):
+    off = _stage_offset(m, 1) + 1 + 16 + 1  # tag, in/out/stride/pad, degenerate
+    data[off : off + 8] = struct.pack("<d", -0.5)
+
+
+def _set_stage(m, i, stage):
+    stages = list(m.stages)
+    stages[i] = stage
+    return engine.QuantizedModel(stages, m.input_shape, m.classes)
+
+
+def _conv_in_ch_plus_one(m):
+    """The binary conv takes 4 channels; the stem gives 3."""
+    p, rng = m.stages[1].packed, np.random.default_rng(0)
+    wider = engine.PackedLayer(
+        kind=p.kind, in_ch=p.in_ch + 1, out_ch=p.out_ch, stride=p.stride,
+        padding=p.padding, omega=p.omega,
+        bits=(rng.random((p.out_ch, 9 * (p.in_ch + 1))) < 0.4).astype(np.uint8),
+    )
+    return _set_stage(m, 1, engine.BinStage(packed=wider, threshold=m.stages[1].threshold))
+
+
+def _head_width_plus_one(m):
+    head = m.stages[-1]
+    wider = np.concatenate([head.weight, head.weight[:, :1]], axis=1)
+    return _set_stage(m, len(m.stages) - 1, engine.Head(weight=wider, bias=head.bias))
+
+
+class TestCraftedModelFiles:
+    """Malformed model files with a valid crc are data errors: exit 3 with a
+    one-line message, no traceback."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_unknown_tag, "unknown stage tag 99"),
+            (_class_code_11, "invalid kernel class code"),
+            (_single_index_9, "single-kernel index 9"),
+            (_non_canonical_tau, "canonical"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["bench", "inspect"])
+    def test_edited_bytes(self, tmp_path, capsys, edit, message, command):
+        m = golden_model()
+        data = bytearray(modelio.encode(m))
+        edit(m, data)
+        path = tmp_path / "crafted.sbnn"
+        path.write_bytes(_with_crc(bytes(data)))
+        assert run_cli([command, "--model", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (_conv_in_ch_plus_one, "stage 1: conv takes 4 channels, gets shape (3, 8, 8)"),
+            (_head_width_plus_one, "stage 4: input width 8, gets 7 features"),
+        ],
+    )
+    def test_broken_stage_chain(self, tmp_path, capsys, build, message):
+        path = tmp_path / "crafted.sbnn"
+        path.write_bytes(modelio.encode(build(golden_model())))
+        code = run_cli(
+            ["eval", "--model", str(path), "--synthetic", "--samples", "16",
+             "--image-hw", "8", "--seed", "7"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestMlpPipeline:

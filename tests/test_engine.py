@@ -20,23 +20,20 @@ def dense_int_preacts(bits, windows):
 
 class TestKernelClass:
     def test_zero(self):
-        kc = engine.KernelClass.from_bits(np.zeros(9, dtype=np.uint8))
-        assert kc.tag == engine.KERNEL_ZERO
-        assert kc.hamming_weight == 0
+        tags, counts = engine.classify_kernels(np.zeros(9, dtype=np.uint8))
+        assert tags.dtype == np.uint8
+        assert tags.tolist() == [engine.KERNEL_ZERO] and counts == (1, 0, 0)
 
     def test_single_center(self):
         bits = np.zeros(9, dtype=np.uint8)
         bits[4] = 1
-        kc = engine.KernelClass.from_bits(bits)
-        assert kc.tag == engine.KERNEL_SINGLE and kc.index == 4
-        assert kc.hamming_weight == 1
+        tags, counts = engine.classify_kernels(bits)
+        assert tags.tolist() == [engine.KERNEL_SINGLE] and counts == (0, 1, 0)
 
     def test_dense_pattern(self):
         bits = np.array([1, 0, 1, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
-        kc = engine.KernelClass.from_bits(bits)
-        assert kc.tag == engine.KERNEL_DENSE
-        assert kc.pattern == 0b100000101
-        assert kc.hamming_weight == 3
+        tags, counts = engine.classify_kernels(bits)
+        assert tags.tolist() == [engine.KERNEL_DENSE] and counts == (0, 0, 1)
 
     def test_classify_counts(self):
         flat = np.concatenate(
@@ -46,9 +43,28 @@ class TestKernelClass:
                 np.ones(9, dtype=np.uint8),
             ]
         )
-        classes, (k0, k1, kd) = engine.classify_kernels(flat)
+        tags, (k0, k1, kd) = engine.classify_kernels(flat)
         assert (k0, k1, kd) == (1, 1, 1)
-        assert [c.tag for c in classes] == [0, 1, 2]
+        assert tags.tolist() == [0, 1, 2]
+
+    def test_tags_match_a_per_kernel_loop(self):
+        rng = np.random.default_rng(3)
+        bits = (rng.random((40, 9 * 11)) < 0.15).astype(np.uint8)
+        tags, counts = engine.classify_kernels(bits)
+        expect = [min(int(k.sum()), 2) for k in bits.reshape(-1, 9)]
+        assert tags.tolist() == expect
+        assert counts == tuple(expect.count(t) for t in (0, 1, 2))
+
+    def test_packed_layer_tags(self):
+        bits = np.zeros((2, 3, 9), dtype=np.uint8)
+        bits[0, 1, 8] = 1
+        bits[1, 2, :2] = 1
+        layer = engine.PackedLayer(
+            kind="conv3x3", in_ch=3, out_ch=2, stride=1, padding=0,
+            bits=bits.reshape(2, 27), omega=OmegaParams(tau=1.0, phi=0.0),
+        )
+        assert layer.kernel_tags.tolist() == [0, 1, 0, 0, 0, 2]
+        assert layer.kernel_counts == (4, 1, 1)
 
     def test_not_divisible(self):
         with pytest.raises(ValidationError):

@@ -1,9 +1,11 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from helpers import golden_model
+from helpers import golden_model, reference_kernel_payload
 from sbnn import dataio, engine, metrics, modelio, nn
 from sbnn.binquant import OmegaParams
 from sbnn.train import quantize_network
@@ -223,3 +225,111 @@ class TestPayloadLaw:
         assert modelio.kernel_payload_bits(packed) == 370
         payload = modelio._encode_kernel_payload(packed)
         assert len(payload) == 47
+
+
+def _conv_layer(kernels):
+    """A 1-output conv layer holding the given (in_ch, 9) kernels."""
+    return engine.PackedLayer(
+        kind="conv3x3", in_ch=kernels.shape[0], out_ch=1, stride=1, padding=0,
+        bits=kernels.reshape(1, -1), omega=OmegaParams(tau=1.0, phi=0.0),
+    )
+
+
+def _payload_round_trip(layer):
+    """(payload bits MSB-first, decoded weights) of one layer's payload."""
+    payload = modelio._encode_kernel_payload(layer)
+    cur = modelio._Cursor(payload)
+    back = modelio._decode_kernel_payload(cur, layer.kind, layer.out_ch, layer.fan_in)
+    assert cur.pos == len(payload)
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8)), back
+
+
+class TestKernelPayload:
+    def test_matches_bit_by_bit_reference(self):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            kind = ("conv3x3", "linear")[trial % 2]
+            out_ch, in_ch = (int(v) for v in rng.integers(1, 12, size=2))
+            fan_in = 9 * in_ch if kind == "conv3x3" else 7 * in_ch
+            bits = (rng.random((out_ch, fan_in)) < rng.uniform(0.0, 0.5)).astype(np.uint8)
+            layer = engine.PackedLayer(
+                kind=kind, in_ch=fan_in // 9 if kind == "conv3x3" else fan_in,
+                out_ch=out_ch, stride=1, padding=0, bits=bits,
+                omega=OmegaParams(tau=1.0, phi=0.0),
+            )
+            payload = modelio._encode_kernel_payload(layer)
+            assert payload == reference_kernel_payload(kind, bits)
+            _, back = _payload_round_trip(layer)
+            assert np.array_equal(back, bits)
+
+    def test_single_index_at_every_position(self):
+        layer = _conv_layer(np.eye(9, dtype=np.uint8))  # kernel k: Single at k
+        stream, back = _payload_round_trip(layer)
+        assert stream[:18].tolist() == [0, 1] * 9
+        index = stream[18 : 18 + 36].reshape(9, 4) @ np.array([8, 4, 2, 1])
+        assert index.tolist() == list(range(9))
+        assert not stream[18 + 36 :].any()  # byte padding
+        assert np.array_equal(back, layer.bits)
+
+    def test_dense_pattern_is_raw_bits_in_position_order(self):
+        kernels = np.array(
+            [[1, 0, 1, 0, 0, 0, 0, 0, 1], [0] * 9, [0, 1, 1, 1, 1, 1, 1, 1, 1]], dtype=np.uint8
+        )
+        stream, back = _payload_round_trip(_conv_layer(kernels))
+        assert stream[:6].tolist() == [1, 0, 0, 0, 1, 0]
+        assert stream[6:15].tolist() == kernels[0].tolist()
+        assert stream[15:24].tolist() == kernels[2].tolist()
+        assert np.array_equal(back, kernels.reshape(1, -1))
+
+    def test_linear_payload_is_the_bits_msb_first(self):
+        rng = np.random.default_rng(11)
+        bits = (rng.random((3, 13)) < 0.5).astype(np.uint8)
+        layer = engine.PackedLayer(
+            kind="linear", in_ch=13, out_ch=3, stride=1, padding=0,
+            bits=bits, omega=OmegaParams(tau=1.0, phi=0.0),
+        )
+        stream, back = _payload_round_trip(layer)
+        assert stream.size == 40 and stream[:39].tolist() == bits.ravel().tolist()
+        assert np.array_equal(back, bits)
+
+
+class TestMalformedFiles:
+    """Decode errors are ModelFileError, raised before arrays are sized
+    from declared counts the file cannot hold."""
+
+    def _file(self, stages, input_shape=(3, 8, 8)):
+        return modelio.encode(engine.QuantizedModel(stages, input_shape, 2))
+
+    def test_error_classes_share_a_base(self):
+        for cls in (modelio.BadMagic, modelio.BadVersion, modelio.CrcMismatch,
+                    modelio.TruncatedStream):
+            assert issubclass(cls, modelio.ModelFileError)
+        assert issubclass(modelio.ModelFileError, modelio.ValidationError)
+
+    def test_huge_declared_kernel_count_is_truncated(self):
+        # a binary conv declaring 2**20 input channels in a 126-byte file
+        golden = golden_model()
+        conv = golden.stages[1]
+        data = bytearray(self._file([conv]))
+        data[8 + 17 + 1 : 8 + 17 + 5] = struct.pack("<I", 2**20)
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
+        with pytest.raises(modelio.TruncatedStream, match="kernel class codes"):
+            modelio.decode(bytes(data))
+
+    def test_pool_of_odd_map(self):
+        with pytest.raises(modelio.ModelFileError, match="even-sized"):
+            modelio.decode(self._file([engine.BitPool()], input_shape=(3, 7, 8)))
+
+    def test_conv_window_larger_than_map(self):
+        conv = golden_model().stages[1]
+        conv.packed.padding = 0
+        with pytest.raises(modelio.ModelFileError, match="does not fit"):
+            modelio.decode(self._file([conv], input_shape=(3, 1, 8)))
+        # a 2-wide map gives an empty output, which the format allows
+        modelio.decode(self._file([conv], input_shape=(3, 2, 8)))
+
+    def test_conv_stride_zero(self):
+        conv = golden_model().stages[1]
+        conv.packed.stride = 0
+        with pytest.raises(modelio.ModelFileError, match="stride 0"):
+            modelio.decode(self._file([conv]))

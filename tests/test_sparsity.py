@@ -145,17 +145,3 @@ class TestLambdaUpdate:
     def test_substitution_property(self, loss, j, gamma):
         lam = sp.lambda_update(loss, j, gamma)
         assert lam * j / (loss + lam * j) == pytest.approx(gamma, rel=1e-12)
-
-
-class TestPenaltyState:
-    def test_update_cycle(self):
-        state = sp.PenaltyState(gamma=0.1, ec=0.05)
-        wb = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1], dtype=np.int8)
-        lam = state.update(2.0, wb)
-        assert state.j_value == pytest.approx(0.25)
-        assert lam == pytest.approx(0.2 / 0.225)
-
-    def test_satisfied_budget_gives_zero(self):
-        state = sp.PenaltyState(gamma=0.1, ec=0.5)
-        wb = np.array([1, -1, -1, -1], dtype=np.int8)
-        assert state.update(2.0, wb) == 0.0

@@ -156,3 +156,71 @@ def reference_kernel_payload(kind, bits):
         sum(bit << (7 - j) for j, bit in enumerate(stream[i : i + 8]))
         for i in range(0, len(stream), 8)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference 3x3 conv: the fancy-index im2col, the np.add.at col2im and the
+# three einsum contractions that training used before the conv hot path was
+# rewritten. Training must stay bit-identical to them, so the tests compare
+# with np.array_equal, not allclose.
+# ---------------------------------------------------------------------------
+
+def reference_conv_im2col(x, stride, pad, pad_value):
+    """x (B, C, H, W) -> cols (B, C*9, P) by one fancy-index gather, and the
+    index arrays reference_conv_col2im scatters back through."""
+    b, c, h, w = x.shape
+    ho, wo = (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
+    xp = np.full((b, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    ci = np.repeat(np.arange(c), 9)
+    ki, kj = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    ki, kj = np.tile(ki.ravel(), c), np.tile(kj.ravel(), c)
+    oi, oj = np.meshgrid(np.arange(ho) * stride, np.arange(wo) * stride, indexing="ij")
+    rows = ki[:, None] + oi.ravel()[None, :]  # (C*9, P)
+    cols_ix = kj[:, None] + oj.ravel()[None, :]
+    cols = xp[:, ci[:, None], rows, cols_ix]
+    return cols, (x.shape, (ho, wo), pad, ci, rows, cols_ix)
+
+
+def reference_conv_col2im(dcols, geom):
+    (b, c, h, w), _, pad, ci, rows, cols_ix = geom
+    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    bi = np.arange(b)[:, None, None]
+    np.add.at(dxp, (bi, ci[None, :, None], rows[None], cols_ix[None]), dcols)
+    return dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def reference_conv_forward(wf, cols, geom):
+    """Conv output (B, O, Ho, Wo) from the (O, C*9) weights."""
+    y = np.einsum("of,bfp->bop", wf, cols, optimize=True)
+    (b, *_), (ho, wo) = geom[:2]
+    return y.reshape(b, wf.shape[0], ho, wo)
+
+
+def reference_conv_weight_grad(g, cols):
+    """d(loss)/d(wf) from the output gradient g (B, O, P)."""
+    return np.einsum("bop,bfp->of", g, cols, optimize=True)
+
+
+def reference_conv_input_grad(g, wf, geom):
+    """d(loss)/d(x) from the output gradient g (B, O, P)."""
+    return reference_conv_col2im(np.einsum("of,bop->bfp", wf, g, optimize=True), geom)
+
+
+def reference_conv3x3_forward(layer, x, train=False, relaxed=False):
+    """Drop-in for nn.Conv3x3.forward built on the reference conv."""
+    w_eff, layer._wcache = layer.effective_weight(relaxed)
+    wf = w_eff.reshape(layer.spec.out_ch, -1)
+    cols, geom = reference_conv_im2col(
+        np.asarray(x, dtype=np.float64), layer.spec.stride, layer.spec.padding, layer.pad_value
+    )
+    layer._reference_cache = (cols, geom, wf)
+    return reference_conv_forward(wf, cols, geom)
+
+
+def reference_conv3x3_backward(layer, grad_out, input_grad=True):
+    """Drop-in for nn.Conv3x3.backward; always computes the input gradient."""
+    cols, geom, wf = layer._reference_cache
+    g = grad_out.reshape(grad_out.shape[0], layer.spec.out_ch, -1)
+    layer.backward_weight(reference_conv_weight_grad(g, cols).reshape(layer.weight.value.shape))
+    return reference_conv_input_grad(g, wf, geom)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from sbnn import nn
+from sbnn import dataio, nn, train
 from sbnn.binquant import ValidationError
 
-from helpers import dense_sign_dot
+from helpers import (
+    dense_sign_dot,
+    reference_conv3x3_backward,
+    reference_conv3x3_forward,
+)
 
 
 def finite_diff_check(net, x, y, rng, per_param=6, rtol=1e-4):
@@ -257,3 +261,90 @@ class TestGradients:
         assert loss1 == loss2
         for n, p in net.params():
             assert np.array_equal(grads1[n], p.grad)
+
+
+# (batch, in_ch, out_ch, image_hw, binarized) of every conv layer the
+# benchmark workloads train, in order: desk-train, sparse16, dense-wide
+WORKLOAD_CONVS = [
+    (64, 1, 6, 8, False), (64, 6, 12, 6, True), (64, 12, 12, 4, True),
+    (64, 1, 16, 16, False), (64, 16, 32, 14, True), (64, 32, 32, 12, True),
+    (64, 1, 64, 8, False), (64, 64, 128, 6, True), (64, 128, 128, 4, True),
+]
+
+
+def _conv_forward_backward(forward, backward, spec, x, g):
+    layer = nn.Conv3x3(spec, np.random.default_rng(17))
+    y = forward(layer, x, train=True)
+    dx = backward(layer, g)
+    return y, layer.weight.grad, dx
+
+
+class TestConvMatchesReference:
+    """Conv3x3 output, weight gradient and input gradient are bit-identical
+    to the reference conv in tests/helpers.py (fancy-index im2col, np.add.at
+    col2im, einsum contractions)."""
+
+    def check(self, batch, in_ch, out_ch, hw, stride=1, padding=0, binarized=False):
+        spec = nn.LayerSpec(
+            "conv3x3", in_ch=in_ch, out_ch=out_ch, stride=stride, padding=padding,
+            binarized=binarized,
+        )
+        rng = np.random.default_rng([batch, in_ch, out_ch, *hw, stride, padding])
+        x = rng.normal(size=(batch, in_ch, *hw))
+        ho, wo = ((d + 2 * padding - 3) // stride + 1 for d in hw)
+        g = rng.normal(size=(batch, out_ch, ho, wo))
+        got = _conv_forward_backward(nn.Conv3x3.forward, nn.Conv3x3.backward, spec, x, g)
+        expect = _conv_forward_backward(
+            reference_conv3x3_forward, reference_conv3x3_backward, spec, x, g
+        )
+        for what, a, b in zip(("output", "weight grad", "input grad"), got, expect):
+            assert a.shape == b.shape, what
+            assert np.array_equal(a, b), what
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("binarized", [False, True])
+    def test_stride_padding_grid(self, stride, padding, binarized):
+        self.check(5, 3, 4, (7, 10), stride, padding, binarized)
+
+    @pytest.mark.parametrize("shape", WORKLOAD_CONVS)
+    def test_workload_layers(self, shape):
+        batch, in_ch, out_ch, hw, binarized = shape
+        self.check(batch, in_ch, out_ch, (hw, hw), binarized=binarized)
+
+    @pytest.mark.parametrize(
+        "batch, hw, stride, padding",
+        [(1, (3, 3), 1, 0), (3, (5, 5), 3, 0), (2, (1, 1), 3, 2), (1, (4, 9), 2, 1)],
+    )
+    def test_single_image_and_single_pixel(self, batch, hw, stride, padding):
+        self.check(batch, 2, 3, hw, stride, padding, binarized=True)
+
+    def test_desk_training_matches_reference(self, monkeypatch):
+        def run():
+            ds = dataio.synthetic_classification(
+                seed=5, n=1024, classes=2, difficulty=3.0, image_hw=8
+            )
+            cfg = train.TrainConfig(
+                epochs=3, batch_size=64, learning_rate=5e-3, gamma=0.5,
+                target_sparsity=0.95, seed=5,
+            )
+            net = nn.Network(
+                nn.conv_net_spec(in_ch=1, classes=2, width=6, image_hw=8),
+                np.random.default_rng(np.random.SeedSequence([5, 0])),
+            )
+            report = train.train(net, (ds.images, ds.labels), cfg)
+            state = {n: p.value.copy() for n, p in net.params()}
+            for i, layer in enumerate(net.layers):
+                if isinstance(layer, nn.BatchNorm):
+                    state[f"{i}.running_mean"] = layer.running_mean.copy()
+                    state[f"{i}.running_var"] = layer.running_var.copy()
+            return report.to_jsonl(), state
+
+        got_report, got_state = run()
+        monkeypatch.setattr(nn.Conv3x3, "forward", reference_conv3x3_forward)
+        monkeypatch.setattr(nn.Conv3x3, "backward", reference_conv3x3_backward)
+        expect_report, expect_state = run()
+        assert got_report == expect_report
+        assert got_state.keys() == expect_state.keys()
+        for name, value in expect_state.items():
+            assert np.array_equal(got_state[name], value), name

@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .binquant import OmegaParams, ValidationError
 from .bitpack import pack
-from .nn import _im2col
+from .nn import _conv_apply, _window_rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +318,7 @@ class BinStage:
         output spatial shape."""
         p = self.packed
         if p.kind == "conv3x3":
-            cols, geom = _im2col(x_bits.astype(np.uint8), p.stride, p.padding, 0)
-            ho, wo = geom[4], geom[5]
-            b = x_bits.shape[0]
-            flat = cols.transpose(0, 2, 1).reshape(b * ho * wo, p.in_ch * 9)
-            return flat, (ho, wo)
+            return _window_rows(np.asarray(x_bits, dtype=np.uint8), p.stride, p.padding, 0)
         return x_bits.reshape(x_bits.shape[0], -1).astype(np.uint8), None
 
     def forward(self, x_bits, counters: OpsCounters, skip: bool = True):
@@ -400,11 +396,8 @@ class FloatStage:
         else:
             x = np.asarray(x, dtype=np.float64)
         if self.kind == "conv3x3":
-            cols, geom = _im2col(x, self.stride, self.padding, -1.0 if self.takes_bits else 0.0)
-            wf = self.weight.reshape(self.out_ch, -1)
-            y = np.einsum("of,bfp->bop", wf, cols, optimize=True)
-            ho, wo = geom[4], geom[5]
-            return y.reshape(x.shape[0], self.out_ch, ho, wo)
+            rows, hw = _window_rows(x, self.stride, self.padding, -1.0 if self.takes_bits else 0.0)
+            return _conv_apply(rows, self.weight.reshape(self.out_ch, -1), hw)
         return x @ self.weight.T
 
     def forward(self, x, counters: OpsCounters):
@@ -528,6 +521,10 @@ def infer(model: QuantizedModel, images, skip: bool = True, workers: int | None 
     return logits, counters
 
 
+# float64 values per slice of windows in reference_forward (2 MB)
+REFERENCE_SLICE_VALUES = 1 << 18
+
+
 def reference_forward(model: QuantizedModel, images):
     """Dense float path over the same quantized model. Binary stages run as
     +-1 float matmuls (exact integers) followed by the same canonical remap
@@ -544,13 +541,20 @@ def reference_forward(model: QuantizedModel, images):
             stage._prepare()
             windows, out_hw = stage.window_bits(_require_bits(x))
             w01 = p.bits.astype(np.float64)
-            x_pm = 2.0 * windows.astype(np.float64) - 1.0
-            zprime = w01 @ x_pm.T  # products in {0, +-1}: exact integers
-            q = windows.sum(axis=1, dtype=np.int64) * 2 - p.fan_in
-            z = affine_remap(zprime, q[None, :].astype(np.float64), p.omega)
-            bits = stage.threshold.decide(z)
-            # free the float64 windows before the next stage builds its own
-            del windows, x_pm, zprime, z
+            bits = np.empty((p.out_ch, windows.shape[0]), dtype=np.uint8)
+            # Every step below is exact or works column by column, so the
+            # windows go through in slices: the float64 arrays stay a few MB,
+            # small enough to reuse heap memory from one slice to the next
+            # instead of faulting in hundreds of MB of fresh pages per batch.
+            step = max(1, REFERENCE_SLICE_VALUES // p.fan_in)
+            for lo in range(0, windows.shape[0], step):
+                win = windows[lo : lo + step]
+                x_pm = 2.0 * win.astype(np.float64) - 1.0
+                zprime = w01 @ x_pm.T  # products in {0, +-1}: exact integers
+                q = win.sum(axis=1, dtype=np.int64) * 2 - p.fan_in
+                z = affine_remap(zprime, q[None, :].astype(np.float64), p.omega)
+                bits[:, lo : lo + step] = stage.threshold.decide(z)
+            del windows  # before the next stage builds its own
             if p.kind == "conv3x3":
                 b = x.shape[0]
                 ho, wo = out_hw

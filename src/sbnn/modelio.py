@@ -53,6 +53,7 @@ from .engine import (
     QuantizedModel,
 )
 from .metrics import bparams_bits
+from .nn import MAX_CONV_PADDING
 
 MAGIC = b"SBNN"
 VERSION = 1
@@ -263,6 +264,10 @@ def _check_chain(stages, in_shape):
             raise ModelFileError(f"stage {i}: conv takes {in_ch} channels, gets shape {shape}")
         if layer.stride < 1:
             raise ModelFileError(f"stage {i}: conv stride {layer.stride}")
+        if layer.padding > MAX_CONV_PADDING:
+            raise ModelFileError(
+                f"stage {i}: conv padding {layer.padding} above {MAX_CONV_PADDING}"
+            )
         hw = tuple((d + 2 * layer.padding - 3) // layer.stride + 1 for d in shape[1:])
         if min(hw) < 0:
             raise ModelFileError(f"stage {i}: conv window does not fit a {shape[1:]} map")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .binquant import (
     OmegaParams,
@@ -26,13 +27,15 @@ from .binquant import (
 )
 
 OMEGA_MODES = ("pm1", "analytic", "learned")
+# a wider halo than the 3x3 window only adds output pixels that see no input
+MAX_CONV_PADDING = 2
 
 
 def _binarize(x, relaxed):
     """sign(x) with sign(0) = +1, or the clipped-identity surrogate."""
     if relaxed:
         return np.clip(x, -1.0, 1.0)
-    return np.where(x >= 0.0, 1.0, -1.0)
+    return (x >= 0.0) * 2.0 - 1.0
 
 
 def _ste_mask(x):
@@ -53,6 +56,10 @@ class LayerSpec:
     def __post_init__(self):
         if self.omega_mode not in OMEGA_MODES:
             raise ValidationError(f"unknown omega mode {self.omega_mode!r}")
+        if self.kind == "conv3x3" and not 0 <= self.padding <= MAX_CONV_PADDING:
+            raise ValidationError(
+                f"conv padding {self.padding} outside [0, {MAX_CONV_PADDING}]"
+            )
 
     @property
     def weight_count(self) -> int:
@@ -177,38 +184,70 @@ class _WeightedLayer(Layer):
 # ---------------------------------------------------------------------------
 
 def _conv_out_hw(h, w, stride, pad):
-    return (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
+    ho, wo = (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ValidationError("input smaller than the 3x3 window")
+    return ho, wo
 
 
 def _im2col(x, stride, pad, pad_value):
-    """x (B, C, H, W) -> cols (B, C*9, P) plus geometry for col2im."""
+    """x (B, C, H, W) -> C-contiguous cols (B, C*9, P), rows in (c, ki, kj)
+    order and columns in output-pixel order, plus the output map (Ho, Wo)."""
     b, c, h, w = x.shape
     ho, wo = _conv_out_hw(h, w, stride, pad)
-    if ho < 1 or wo < 1:
-        raise ValidationError("input smaller than the 3x3 window")
     if pad:
         xp = np.full((b, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
         xp[:, :, pad : pad + h, pad : pad + w] = x
     else:
         xp = x
-    ci = np.repeat(np.arange(c), 9)
-    ki, kj = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    ki, kj = np.tile(ki.ravel(), c), np.tile(kj.ravel(), c)
-    oi, oj = np.meshgrid(np.arange(ho) * stride, np.arange(wo) * stride, indexing="ij")
-    rows = ki[:, None] + oi.ravel()[None, :]  # (C*9, P)
-    cols_ix = kj[:, None] + oj.ravel()[None, :]
-    cols = xp[:, ci[:, None], rows, cols_ix]
-    return cols, (b, c, h, w, ho, wo, ci, rows, cols_ix, pad)
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(b, c * 9, ho * wo), (ho, wo)
 
 
-def _col2im(dcols, geom):
-    b, c, h, w, ho, wo, ci, rows, cols_ix, pad = geom
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    bi = np.arange(b)[:, None, None]
-    np.add.at(dxp, (bi, ci[None, :, None], rows[None], cols_ix[None]), dcols)
-    if pad:
-        return dxp[:, :, pad : pad + h, pad : pad + w]
-    return dxp
+def _col2im(dwin, x_shape, stride, pad):
+    """Adjoint of _im2col for window rows dwin (B*P, C*9): add every window
+    back onto the input pixels it came from, giving (B, C, H, W). The nine
+    taps are added in ascending (ki, kj) order, the order np.add.at visits
+    them, so each pixel's sum is rounded exactly as a scatter-add rounds it.
+    The sum is built channels-last, where a tap's rows and channels form
+    one run in both arrays, and returned C-contiguous."""
+    b, c, h, w = x_shape
+    ho, wo = _conv_out_hw(h, w, stride, pad)
+    taps = dwin.reshape(b, ho, wo, c, 3, 3)
+    dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    for ki in range(3):
+        rows = slice(ki, ki + stride * ho, stride)
+        for kj in range(3):
+            dxp[:, rows, kj : kj + stride * wo : stride] += taps[..., ki, kj]
+    return np.ascontiguousarray(dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2))
+
+
+def _window_rows(x, stride, pad, pad_value):
+    """x (B, C, H, W) -> the transpose of _im2col's columns: C-contiguous
+    rows (B*P, C*9), one window per output pixel, plus (Ho, Wo). Built
+    channels-last with one strided copy per tap, the way _col2im adds the
+    taps back, so the only large array it allocates is the result."""
+    b, c, h, w = x.shape
+    ho, wo = _conv_out_hw(h, w, stride, pad)
+    xp = np.full((b, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    rows = np.empty((b, ho, wo, c, 3, 3), dtype=x.dtype)
+    for ki in range(3):
+        taps = xp[:, ki : ki + stride * ho : stride]
+        for kj in range(3):
+            rows[..., ki, kj] = taps[:, :, kj : kj + stride * wo : stride]
+    return rows.reshape(b * ho * wo, c * 9), (ho, wo)
+
+
+def _conv_apply(rows, wf, hw):
+    """Conv output (B, O, Ho, Wo) of the window rows (B*P, C*9) and the
+    weights (O, C*9). It is the product np.einsum("of,bfp->bop", wf, cols,
+    optimize=True) forms, with operands laid out as einsum lays them out, so
+    the two agree bit for bit."""
+    o = wf.shape[0]
+    y = (rows @ wf.T).reshape(-1, hw[0] * hw[1], o)
+    return y.transpose(0, 2, 1).reshape(-1, o, *hw)
 
 
 class Conv3x3(_WeightedLayer):
@@ -224,26 +263,26 @@ class Conv3x3(_WeightedLayer):
         return -1.0 if self.spec.binarized else 0.0
 
     def forward(self, x, train=False, relaxed=False):
-        w_eff, wcache = self.effective_weight(relaxed)
-        self._wcache = wcache
-        cols, geom = _im2col(
-            np.asarray(x, dtype=np.float64), self.spec.stride, self.spec.padding, self.pad_value
-        )
+        w_eff, self._wcache = self.effective_weight(relaxed)
+        x = np.asarray(x, dtype=np.float64)
+        cols, hw = _im2col(x, self.spec.stride, self.spec.padding, self.pad_value)
         wf = w_eff.reshape(self.spec.out_ch, -1)
-        y = np.einsum("of,bfp->bop", wf, cols, optimize=True)
-        self._cache = (cols, geom, wf)
-        b = x.shape[0]
-        ho, wo = geom[4], geom[5]
-        return y.reshape(b, self.spec.out_ch, ho, wo)
+        self._cache = (cols, wf, x.shape)
+        b, f, p = cols.shape
+        return _conv_apply(cols.transpose(0, 2, 1).reshape(b * p, f), wf, hw)
 
-    def backward(self, grad_out):
-        cols, geom, wf = self._cache
-        b, o = grad_out.shape[0], self.spec.out_ch
-        g = grad_out.reshape(b, o, -1)
-        d_wf = np.einsum("bop,bfp->of", g, cols, optimize=True)
+    def backward(self, grad_out, input_grad=True):
+        """Accumulate the weight gradient; return the input gradient unless
+        input_grad is False. The products are the ones the einsums
+        "bop,bfp->of" and "of,bop->bfp" form, operands laid out alike."""
+        cols, wf, x_shape = self._cache
+        b, f, p = cols.shape
+        g = grad_out.reshape(b, -1, p).transpose(0, 2, 1).reshape(b * p, -1)  # (B*P, O)
+        d_wf = (cols.transpose(1, 0, 2).reshape(f, b * p) @ g).T
         self.backward_weight(d_wf.reshape(self.weight.value.shape))
-        dcols = np.einsum("of,bop->bfp", wf, g, optimize=True)
-        return _col2im(dcols, geom)
+        if not input_grad:
+            return None
+        return _col2im(g @ wf, x_shape, self.spec.stride, self.spec.padding)
 
 
 class Linear(_WeightedLayer):
@@ -263,11 +302,13 @@ class Linear(_WeightedLayer):
         self._cache = (x, w_eff)
         return y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x, w_eff = self._cache
         self.backward_weight(grad_out.T @ x)
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_out @ w_eff
 
 
@@ -420,9 +461,16 @@ class Network:
         return x
 
     def backward(self, grad):
-        for layer in reversed(self.layers):
+        """Accumulate every parameter's gradient from d(loss)/d(logits).
+        Nothing uses the gradient with respect to the network input, so a
+        weighted first layer (the stem) does not compute it."""
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
-        return grad
+        first = self.layers[0]
+        if isinstance(first, _WeightedLayer):
+            first.backward(grad, input_grad=False)
+        else:
+            first.backward(grad)
 
     def params(self):
         out = []
@@ -499,10 +547,8 @@ def forward_binary_conv(x_signs, weight_signs, stride=1, padding=0):
     if w.ndim != 4 or w.shape[2:] != (3, 3):
         raise ValidationError("weights must be (out, in, 3, 3)")
     x = np.asarray(x_signs, dtype=np.float64)
-    cols, geom = _im2col(x, stride, padding, -1.0)
-    y = np.einsum("of,bfp->bop", w.reshape(w.shape[0], -1), cols, optimize=True)
-    ho, wo = geom[4], geom[5]
-    return y.reshape(x.shape[0], w.shape[0], ho, wo)
+    rows, hw = _window_rows(x, stride, padding, -1.0)
+    return _conv_apply(rows, w.reshape(w.shape[0], -1), hw)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     cosine_lr: bool = True
     augment: bool = False  # seeded shift-crop + horizontal flip
-    mixup_alpha: float = 0.0  # reserved; not used at desk scale
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -305,6 +304,7 @@ def load_snapshot(path) -> Snapshot:
         params = {k[2:]: z[k] for k in z.files if k.startswith("p:")}
         buffers = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
     spec = tuple(LayerSpec(**d) for d in meta["spec"])
+    meta["cfg"].pop("mixup_alpha", None)  # written by older versions, never used
     cfg = TrainConfig(**meta["cfg"])
     return Snapshot(
         spec=spec,

@@ -258,6 +258,12 @@ def _conv_in_ch_plus_one(m):
     return _set_stage(m, 1, engine.BinStage(packed=wider, threshold=m.stages[1].threshold))
 
 
+def _conv_padding_600(m):
+    """Padding 600 would turn the 8x8 map into a 1206x1206 one."""
+    m.stages[1].packed.padding = 600
+    return m
+
+
 def _head_width_plus_one(m):
     head = m.stages[-1]
     wider = np.concatenate([head.weight, head.weight[:, :1]], axis=1)
@@ -293,6 +299,7 @@ class TestCraftedModelFiles:
         [
             (_conv_in_ch_plus_one, "stage 1: conv takes 4 channels, gets shape (3, 8, 8)"),
             (_head_width_plus_one, "stage 4: input width 8, gets 7 features"),
+            (_conv_padding_600, "stage 1: conv padding 600 above 2"),
         ],
     )
     def test_broken_stage_chain(self, tmp_path, capsys, build, message):

@@ -328,6 +328,14 @@ class TestMalformedFiles:
         # a 2-wide map gives an empty output, which the format allows
         modelio.decode(self._file([conv], input_shape=(3, 2, 8)))
 
+    def test_conv_padding_above_two(self):
+        conv = golden_model().stages[1]
+        conv.packed.padding = 3
+        with pytest.raises(modelio.ModelFileError, match="conv padding 3 above 2"):
+            modelio.decode(self._file([conv]))
+        conv.packed.padding = 2
+        modelio.decode(self._file([conv]))
+
     def test_conv_stride_zero(self):
         conv = golden_model().stages[1]
         conv.packed.stride = 0

@@ -8,6 +8,8 @@ from helpers import (
     dense_sign_dot,
     reference_conv3x3_backward,
     reference_conv3x3_forward,
+    reference_conv_forward,
+    reference_conv_im2col,
 )
 
 
@@ -160,6 +162,12 @@ class TestLayers:
         y = layer.forward(np.array([[1.0, 1.0]]), train=False)
         assert np.all(np.abs(y) < 0.5)  # near the running mean
 
+    def test_conv_padding_bounded(self):
+        nn.LayerSpec("conv3x3", in_ch=1, out_ch=1, padding=nn.MAX_CONV_PADDING)
+        for padding in (nn.MAX_CONV_PADDING + 1, -1):
+            with pytest.raises(ValidationError, match="conv padding"):
+                nn.LayerSpec("conv3x3", in_ch=1, out_ch=1, padding=padding)
+
     def test_conv_weight_counts(self):
         spec = nn.LayerSpec("conv3x3", in_ch=4, out_ch=8)
         assert spec.weight_count == 8 * 4 * 9
@@ -241,6 +249,27 @@ class TestGradients:
             fd = (lp - lm) / (2 * h)
             assert np.isclose(float(param.grad), fd, rtol=1e-4, atol=1e-9)
 
+    def test_conv_step_does_not_scatter_add(self, monkeypatch):
+        # the conv backward adds its taps by slices; np.add.at must not return
+        real_add = np.add
+
+        class NoScatterAdd:
+            def __call__(self, *args, **kwargs):
+                return real_add(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(real_add, name)
+
+            def at(self, *args, **kwargs):
+                raise AssertionError("np.add.at called")
+
+        rng = np.random.default_rng(2)
+        net = nn.Network(nn.conv_net_spec(in_ch=1, classes=2, width=6), np.random.default_rng(0))
+        monkeypatch.setattr(np, "add", NoScatterAdd())
+        net.zero_grads()
+        train.sbnn_step(net, rng.normal(size=(16, 1, 8, 8)), rng.integers(0, 2, size=16), 0.5, 0.05)
+        assert all(np.any(p.grad) for _, p in net.params())
+
     def test_pm1_bnn_step_has_no_penalty_term(self):
         # gamma = 0: gradients identical with and without the penalty hook
         from sbnn.train import sbnn_step
@@ -318,6 +347,25 @@ class TestConvMatchesReference:
     )
     def test_single_image_and_single_pixel(self, batch, hw, stride, padding):
         self.check(batch, 2, 3, hw, stride, padding, binarized=True)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_forward_only_window_rows(self, stride, padding):
+        """The inference-side conv (window rows, as FloatStage.preact,
+        BinStage.window_bits and forward_binary_conv build them) gathers the
+        reference windows and forms the reference output bit for bit."""
+        rng = np.random.default_rng([stride, padding])
+        x = rng.normal(size=(5, 3, 7, 10))
+        wf = rng.normal(size=(4, 27))
+        rows, hw = nn._window_rows(x, stride, padding, -1.0)
+        cols, geom = reference_conv_im2col(x, stride, padding, -1.0)
+        assert np.array_equal(rows, cols.transpose(0, 2, 1).reshape(rows.shape))
+        assert np.array_equal(nn._conv_apply(rows, wf, hw), reference_conv_forward(wf, cols, geom))
+        bits = (x >= 0).astype(np.uint8)
+        rows, _ = nn._window_rows(bits, stride, padding, 0)
+        cols, _ = reference_conv_im2col(bits, stride, padding, 0)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, cols.transpose(0, 2, 1).reshape(rows.shape))
 
     def test_desk_training_matches_reference(self, monkeypatch):
         def run():

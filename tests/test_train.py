@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,23 @@ class TestSnapshots:
         net2 = restore_network(back)
         for (n1, p1), (n2, p2) in zip(net.params(), net2.params()):
             assert np.array_equal(p1.value, p2.value)
+
+    def test_snapshot_with_mixup_alpha_loads(self, tmp_path):
+        # older versions saved an unused TrainConfig.mixup_alpha
+        net, data, cfg, ds = small_setup(epochs=1)
+        snap = take_snapshot(net, cfg, (36,), 2)
+        path = tmp_path / "snap.npz"
+        save_snapshot(path, snap)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["cfg"]["mixup_alpha"] = 0.0
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        back = load_snapshot(path)
+        assert back.snapshot_id == snap.snapshot_id
+        assert back.cfg == cfg
 
     def test_snapshot_id_content_hash(self):
         net, data, cfg, ds = small_setup(epochs=1)

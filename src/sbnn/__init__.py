@@ -16,7 +16,6 @@ from .binquant import (
     sign_binarize,
     ste_gradient,
 )
-from .bitpack import PackedBits, pack, pack_signs, popcount_dot, q_compute
 from .engine import (
     FusedThreshold,
     OpsCounters,

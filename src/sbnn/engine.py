@@ -35,7 +35,6 @@ import numpy as np
 
 from . import _kernels
 from .binquant import OmegaParams, ValidationError
-from .bitpack import pack
 from .nn import _conv_apply, _window_rows
 
 
@@ -95,9 +94,7 @@ class FusedThreshold:
     sign(0) = +1. `theta` is the exact root mu - b/(g*s) rounded outward to
     the float grid (up for positive gain, down for negative), so comparing
     the float pre-activation against theta reproduces the exact decision for
-    every representable value. With the layer's domain (xi, eta) the same
-    boundary converts to an integer threshold on the +-1-domain integer
-    pre-activation, see int_threshold().
+    every representable value.
     """
 
     orientation: np.ndarray  # int8 per channel: +1 (z >= theta) or -1 (z <= theta)
@@ -143,42 +140,6 @@ class FusedThreshold:
         o = self.orientation.reshape((-1,) + (1,) * (z.ndim - 1))
         t = self.theta.reshape((-1,) + (1,) * (z.ndim - 1))
         return np.where(o > 0, z >= t, z <= t).astype(np.uint8)
-
-    def int_threshold(self, channel: int, q: int, omega: OmegaParams):
-        """Integer decision boundary on the +-1-domain integer pre-activation
-        z_pm for row-sum q: returns (bound, orientation) where the decision
-        is +1 iff orientation * z_pm >= orientation * bound. Found by integer
-        bisection against decide(), so it is exactly consistent with the
-        float pipeline."""
-        tau = omega.tau
-        phi = omega.phi
-
-        def bit(z_pm: int) -> int:
-            return int(self.decide(tau * float(z_pm) + phi * float(q), channel=channel))
-
-        o = int(self.orientation[channel])
-        # decisions are monotone in z_pm (tau > 0), direction given by o
-        lo, hi = -(1 << 40), 1 << 40
-        if bit(lo) == bit(hi):
-            bound = lo if bit(lo) == 1 else hi  # constant on the whole range
-            return (bound, o)
-        if o > 0:
-            # smallest z_pm with bit 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if bit(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return (hi, o)
-        # largest z_pm with bit 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bit(mid):
-                lo = mid
-            else:
-                hi = mid
-        return (lo, o)
 
 
 def affine_remap(z_prime, q, omega: OmegaParams):
@@ -283,7 +244,7 @@ class PackedLayer:
         return self.bits.size
 
 
-def _channel_words(bits, axis):
+def pack(bits, axis):
     """Pack the {0,1} entries along `axis` into words on a new last axis: the
     narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
     bits. Bits go LSB-first and the padding bits are zero."""
@@ -308,9 +269,9 @@ class BinStage:
             return
         p = self.packed
         taps = 9 if p.kind == "conv3x3" else 1
-        words = _channel_words(p.bits.reshape(p.out_ch, -1, taps), axis=1)
+        words = pack(p.bits.reshape(p.out_ch, -1, taps), axis=1)
         self._tap_rows = [np.flatnonzero(words[:, t].any(axis=1)) for t in range(taps)]
-        self._ones = pack(p.bits).popcount()  # popcount(w) per output row
+        self._ones = p.bits.sum(axis=1, dtype=np.int64)  # popcount(w) per output row
         self._words = words
 
     def window_bits(self, x_bits):
@@ -328,7 +289,7 @@ class BinStage:
         conv = p.kind == "conv3x3"
         ks, s, pad = (3, p.stride, p.padding) if conv else (1, 1, 0)
         # (B, H, W, words); a linear stage is one pixel
-        x = _channel_words(x_bits if conv else x_bits.reshape(b, -1, 1, 1), axis=1)
+        x = pack(x_bits if conv else x_bits.reshape(b, -1, 1, 1), axis=1)
         if pad:  # a halo of zero words: bit 0 is -1, as window_bits pads
             x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         ho, wo = (x.shape[1] - ks) // s + 1, (x.shape[2] - ks) // s + 1

@@ -83,6 +83,7 @@ def _check_preactivations(model, images):
         zprime_oracle = stage.packed.bits.astype(np.int64) @ x_pm.T
         for skip in (True, False):
             bits, (zprime, q) = stage.forward(x, engine.OpsCounters(), skip=skip)
+            assert zprime.dtype == np.int64
             assert np.array_equal(zprime, zprime_oracle)
             assert np.array_equal(q, x_pm.sum(axis=1))
         x = bits

@@ -152,18 +152,6 @@ class TestFusedThreshold:
         assert thr.decide(np.array([1.5]), channel=0).tolist() == [1]
         assert thr.decide(np.array([np.nextafter(1.5, -np.inf)]), channel=0).tolist() == [0]
 
-    def test_int_threshold_consistency(self):
-        rng = np.random.default_rng(3)
-        om = OmegaParams(tau=0.37, phi=-0.05)
-        thr = engine.FusedThreshold.from_batchnorm([1.3], [0.2], [-0.4], [0.8])
-        for q in (-9, -2, 0, 5, 11):
-            bound, o = thr.int_threshold(0, q, om)
-            for z_pm in range(bound - 3, bound + 4):
-                z = om.tau * float(z_pm) + om.phi * float(q)
-                want = int(thr.decide(np.array([z]), channel=0)[0])
-                got = 1 if o * z_pm >= o * bound else 0
-                assert got == want
-
 
 def build_random_model(rng, in_hw=6, in_ch=1, classes=3):
     """Small random quantized conv model for fuzz tests."""

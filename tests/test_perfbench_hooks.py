@@ -46,3 +46,9 @@ def test_infer_calls_and_popcount_matmat(tracing, skip):
     names = [span[0] for span in tracer.spans]
     assert "engine.infer" in names
     assert "_kernels.and_popcount_matmat" in names
+    # each batch packs its activations through engine.pack, so the per-layer
+    # packing metrics see the per-batch work, not only the one-off weights
+    assert any(
+        span[0] == "engine.pack" and span[3] >= 0 and names[span[3]] == "engine.BinStage.forward"
+        for span in tracer.spans
+    )

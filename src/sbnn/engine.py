@@ -19,6 +19,11 @@ padding is a halo of zero words (-1 activations). Skipping works per
 that tap, so weight-0 kernels cost nothing beyond the activation-sum term.
 Skipping is exact: outputs are identical with it on or off.
 
+A stage allocates each (out, windows) array once per batch: `pack` shift-ors
+channel slabs into words, every tap's AND+popcount adds into one int32 overlap
+(a skipped tap's kept rows one row view at a time), the remap works in one
+float64 array and the threshold is one comparison per value.
+
 Integer pre-activations are exact by construction; the affine remap and the
 threshold comparison are the single canonical float expressions shared with
 the dense reference path, so the two paths produce bit-identical logits.
@@ -129,17 +134,13 @@ class FusedThreshold:
     def channels(self) -> int:
         return self.orientation.size
 
-    def decide(self, z, channel=None):
-        """Bits for pre-activations. `z` is (channels, ...) when channel is
-        None, else values of a single channel."""
+    def decide(self, z):
+        """Bits (uint8) for pre-activations z (channels, ...): z * o >= theta * o
+        with the orientation o = +-1, i.e. z >= theta (o = +1) or z <= theta
+        (o = -1); negation is exact, -0.0 == 0.0 and theta = +-inf still order."""
         z = np.asarray(z, dtype=np.float64)
-        if channel is not None:
-            o = int(self.orientation[channel])
-            t = self.theta[channel]
-            return ((z >= t) if o > 0 else (z <= t)).astype(np.uint8)
         o = self.orientation.reshape((-1,) + (1,) * (z.ndim - 1))
-        t = self.theta.reshape((-1,) + (1,) * (z.ndim - 1))
-        return np.where(o > 0, z >= t, z <= t).astype(np.uint8)
+        return np.greater_equal(z * o, self.theta.reshape(o.shape) * o).view(np.uint8)
 
 
 def affine_remap(z_prime, q, omega: OmegaParams):
@@ -149,15 +150,15 @@ def affine_remap(z_prime, q, omega: OmegaParams):
 
     which equals the dense sum of {alpha, beta} weights times +-1 inputs up
     to the rounding of this two-product sum. This exact expression is the
-    canonical one: the dense reference path evaluates it too, so both paths
-    agree bitwise. Requires a canonical (or degenerate) omega.
+    canonical one, shared with the dense reference path: both agree bitwise.
+    q must broadcast to the shape of z'. Needs a canonical or degenerate omega.
     """
     if not (omega.degenerate or omega.is_canonical):
         raise ValidationError("affine_remap requires a canonical domain")
-    zp = np.asarray(z_prime, dtype=np.float64)
-    qf = np.asarray(q, dtype=np.float64)
     eta = 0.0 if omega.degenerate else omega.eta
-    return eta * zp + omega.alpha * qf
+    z = np.multiply(z_prime, eta, dtype=np.float64)
+    z += omega.alpha * np.asarray(q, dtype=np.float64)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +248,16 @@ class PackedLayer:
 def pack(bits, axis):
     """Pack the {0,1} entries along `axis` into words on a new last axis: the
     narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
-    bits. Bits go LSB-first and the padding bits are zero."""
-    packed = np.moveaxis(np.packbits(bits, axis=axis, bitorder="little"), axis, -1)
-    nbytes = packed.shape[-1]
+    bits. Bits go LSB-first and the padding bits are zero. Byte j ORs bit 8j + k
+    shifted left by k, k = 0..7, over slabs of `axis`: fast where np.packbits
+    crawls along a strided axis such as a stage's channel axis."""
+    bits = np.moveaxis(np.asarray(bits, dtype=np.uint8), axis, 0)
+    nbytes = -(-bits.shape[0] // 8)
     width = min(8, 1 << (nbytes - 1).bit_length())
-    out = np.zeros(packed.shape[:-1] + (-(-nbytes // width) * width,), dtype=np.uint8)
-    out[..., :nbytes] = packed
+    out = np.zeros(bits.shape[1:] + (-(-nbytes // width) * width,), dtype=np.uint8)
+    front = np.moveaxis(out, -1, 0)
+    for k in range(8):
+        front[: len(bits[k::8])] |= bits[k::8] << k
     return out.view(f"u{width}")
 
 
@@ -312,12 +317,12 @@ class BinStage:
             if n == 0:
                 continue
             win = shifted(x, t).reshape(nwin, nwords)
+            w = self._words[:, t]
             if n == p.out_ch:
-                overlap += _kernels.and_popcount_matmat(self._words[:, t], win)
-            else:  # row by row: in place, no gather/scatter copies
-                part = _kernels.and_popcount_matmat(self._words[rows, t], win)
-                for r, counts in zip(rows, part):
-                    overlap[r] += counts
+                _kernels.and_popcount_matmat(w, win, out=overlap)
+            else:  # row views of overlap: no gather/scatter copies
+                for r in rows:
+                    _kernels.and_popcount_matmat(w[r : r + 1], win, out=overlap[r : r + 1])
             word_ops += n * nwin * nwords
         zprime = 2 * overlap - self._ones[:, None]
         if skip and conv:
@@ -363,11 +368,7 @@ class FloatStage:
 
     def forward(self, x, counters: OpsCounters):
         z = self.preact(x)
-        if z.ndim == 4:
-            zc = z.transpose(1, 0, 2, 3)
-            bits = self.threshold.decide(zc).transpose(1, 0, 2, 3)
-        else:
-            bits = self.threshold.decide(z.T).T
+        bits = np.moveaxis(self.threshold.decide(np.moveaxis(z, 1, 0)), 0, 1)
         macs = self.weight.size * (z.size // self.out_ch)
         counters.add_layer(
             f"fp_{self.kind}", flops=int(2 * macs + z.size), position_ops=0
@@ -516,12 +517,10 @@ def reference_forward(model: QuantizedModel, images):
                 z = affine_remap(zprime, q[None, :].astype(np.float64), p.omega)
                 bits[:, lo : lo + step] = stage.threshold.decide(z)
             del windows  # before the next stage builds its own
-            if p.kind == "conv3x3":
-                b = x.shape[0]
-                ho, wo = out_hw
-                x = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3)
-            else:
+            if out_hw is None:  # a linear stage
                 x = bits.T
+            else:
+                x = bits.reshape(p.out_ch, x.shape[0], *out_hw).transpose(1, 0, 2, 3)
         else:
             x = stage.forward(x, counters)
     return x

@@ -224,3 +224,43 @@ def reference_conv3x3_backward(layer, grad_out, input_grad=True):
     g = grad_out.reshape(grad_out.shape[0], layer.spec.out_ch, -1)
     layer.backward_weight(reference_conv_weight_grad(g, cols).reshape(layer.weight.value.shape))
     return reference_conv_input_grad(g, wf, geom)
+
+
+# ---------------------------------------------------------------------------
+# Reference binary-stage numerics: the affine remap, threshold decisions and
+# channel packing as the engine computed them before its hot path wrote into
+# preallocated buffers. The engine must stay byte-identical to them.
+# ---------------------------------------------------------------------------
+
+def reference_affine_remap(z_prime, q, omega):
+    """eta * z' + alpha * q over float64 copies of both operands."""
+    zp = np.asarray(z_prime, dtype=np.float64)
+    qf = np.asarray(q, dtype=np.float64)
+    eta = 0.0 if omega.degenerate else omega.eta
+    return eta * zp + omega.alpha * qf
+
+
+def reference_decide(threshold, z):
+    """Bits for z (channels, ...): z >= theta where the orientation is +1,
+    z <= theta where it is -1, chosen by np.where."""
+    z = np.asarray(z, dtype=np.float64)
+    o = threshold.orientation.reshape((-1,) + (1,) * (z.ndim - 1))
+    t = threshold.theta.reshape((-1,) + (1,) * (z.ndim - 1))
+    return np.where(o > 0, z >= t, z <= t).astype(np.uint8)
+
+
+def reference_decide_channel(threshold, z, channel):
+    """Bits for values z of one channel, by that channel's own comparison."""
+    z = np.asarray(z, dtype=np.float64)
+    t = threshold.theta[channel]
+    return ((z >= t) if threshold.orientation[channel] > 0 else (z <= t)).astype(np.uint8)
+
+
+def reference_pack(bits, axis):
+    """engine.pack by np.packbits along `axis`, widened to the same word."""
+    packed = np.moveaxis(np.packbits(bits, axis=axis, bitorder="little"), axis, -1)
+    nbytes = packed.shape[-1]
+    width = min(8, 1 << (nbytes - 1).bit_length())
+    out = np.zeros(packed.shape[:-1] + (-(-nbytes // width) * width,), dtype=np.uint8)
+    out[..., :nbytes] = packed
+    return out.view(f"u{width}")

@@ -284,7 +284,7 @@ def test_criterion_6_threshold_fusion(announce):
             if z_pm.size == 0:
                 continue
             z = engine.affine_remap((z_pm + q) // 2, q, omega)
-            got = thr.decide(z, channel=0)
+            got = thr.decide(z[None, :])[0]
             boundary, const = _slice_boundary_by_oracle(
                 q, omega, bn, int(z_pm.min()) - 1, int(z_pm.max()) + 1
             )

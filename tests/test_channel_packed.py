@@ -12,6 +12,8 @@ import pytest
 from sbnn import _kernels, engine, metrics
 from sbnn.binquant import OmegaParams
 
+from helpers import reference_pack
+
 IMAGE_HW = 7
 CONV_OUT = 12
 LINEAR_OUT = 9
@@ -154,4 +156,30 @@ def test_and_popcount_matmat_matches_bit_arithmetic(dtype, words):
     ]
     got = _kernels.and_popcount_matmat(a, b)
     assert got.shape == (5, 7)
+    assert got.dtype == np.int32
     assert got.tolist() == expect
+    # accumulates in place onto counts already in `out` and returns `out`
+    start = rng.integers(-1000, 1000, size=(5, 7)).astype(np.int32)
+    out = start.copy()
+    assert _kernels.and_popcount_matmat(a, b, out=out) is out
+    assert out.tolist() == (start + np.array(expect, dtype=np.int32)).tolist()
+    # into a one-row view of a larger array, leaving the other rows alone
+    before = np.arange(5 * 7, dtype=np.int32).reshape(5, 7)
+    big = before.copy()
+    row = big[2:3]
+    assert _kernels.and_popcount_matmat(a[2:3], b, out=row) is row
+    assert big[2].tolist() == [before[2, p] + expect[2][p] for p in range(7)]
+    assert np.array_equal(np.delete(big, 2, axis=0), np.delete(before, 2, axis=0))
+
+
+@pytest.mark.parametrize("in_ch", sorted(WORDS))
+def test_pack_strided_channels_matches_packbits(in_ch):
+    """A stage's output is a (B, C, H, W) view of (C, B, H, W) planes; engine.pack
+    along that strided channel axis is byte-identical to np.packbits."""
+    rng = np.random.default_rng(in_ch)
+    planes = rng.integers(0, 2, size=(in_ch, 3, 5, 4), dtype=np.uint8)
+    bits = planes.transpose(1, 0, 2, 3)
+    got, want = engine.pack(bits, axis=1), reference_pack(bits, axis=1)
+    assert got.dtype == want.dtype and got.dtype.itemsize == WORDS[in_ch][0]
+    assert got.shape == want.shape == (3, 5, 4, WORDS[in_ch][1])
+    assert got.tobytes() == want.tobytes()

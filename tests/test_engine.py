@@ -7,6 +7,8 @@ import pytest
 from sbnn import engine
 from sbnn.binquant import OmegaParams, ValidationError
 
+from helpers import reference_affine_remap, reference_decide, reference_decide_channel
+
 
 def dense_int_preacts(bits, windows):
     """Independent oracle: z' and q from plain int64 arithmetic over {0,1}
@@ -104,6 +106,66 @@ class TestAffineRemap:
             engine.affine_remap(1, 1, OmegaParams(tau=-0.5, phi=0.0))
 
 
+class TestRemapDecideMatchReference:
+    """affine_remap and FusedThreshold.decide are byte-identical to the
+    plain expressions in tests/helpers.py."""
+
+    def test_remap_random_int64(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            om = OmegaParams(tau=float(rng.uniform(0.01, 3.0)), phi=float(rng.normal(0, 0.5)))
+            n = int(rng.integers(1, 600))
+            zp = rng.integers(-(2**20), 2**20, size=(int(rng.integers(1, 9)), n), dtype=np.int64)
+            row_q = rng.integers(-(2**20), 2**20, size=(1, n))
+            for q in (row_q, rng.integers(-99, 99, size=zp.shape)):
+                got = engine.affine_remap(zp, q, om)
+                assert got.dtype == np.float64
+                assert got.tobytes() == reference_affine_remap(zp, q, om).tobytes()
+
+    def test_remap_degenerate_omega(self):
+        zp = np.array([[-7, 0, 5]], dtype=np.int64)  # eta * z' gives -0.0 at -7
+        for phi in (0.3, 0.0):  # alpha * q is -0.0 at q < 0 when phi is 0
+            om = OmegaParams(tau=0.0, phi=phi, degenerate=True)
+            for q in (np.array([[0, 3, -3]]), np.zeros((1, 3), dtype=np.int64)):
+                got = engine.affine_remap(zp, q, om)
+                assert got.tobytes() == reference_affine_remap(zp, q, om).tobytes()
+
+    def test_remap_zero_d_is_scalar(self):
+        om = OmegaParams(tau=0.7, phi=-0.2)
+        for zp, q in ((3, -5), (np.int64(-4), np.int64(8)), (np.array(2), np.array(-2))):
+            got, want = engine.affine_remap(zp, q, om), reference_affine_remap(zp, q, om)
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+            assert type(got) is type(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_decide_boundaries(self):
+        theta = np.array([1.5, 1.5, 0.0, 0.0, -0.0, -0.0, np.inf, np.inf, -np.inf, -np.inf])
+        orientation = np.array([1, -1, 1, -1, 1, -1, 1, -1, 1, -1], dtype=np.int8)
+        thr = engine.FusedThreshold(orientation=orientation, theta=theta)
+        values = [1.5, np.nextafter(1.5, 2), np.nextafter(1.5, 1), 0.0, -0.0, 5e-324, -5e-324,
+                  np.inf, -np.inf, 1e308, -1e308]
+        z = np.tile(np.array(values), (theta.size, 1))
+        got = thr.decide(z)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == reference_decide(thr, z).tobytes()
+        # each row against its channel's own comparison, z == theta included
+        for c in range(theta.size):
+            assert got[c].tobytes() == reference_decide_channel(thr, z[c], c).tobytes()
+
+    def test_decide_random_mixed_orientations(self):
+        rng = np.random.default_rng(22)
+        n = 40
+        thr = engine.FusedThreshold.from_batchnorm(
+            rng.normal(0, 1, n), rng.normal(0, 0.5, n), rng.normal(0, 1, n), rng.uniform(0.05, 2, n)
+        )
+        assert set(thr.orientation.tolist()) == {-1, 1}
+        z = rng.normal(0, 2, size=(n, 3, 5, 5))
+        z[:, 0, 0, :] = thr.theta[:, None]  # exactly on the threshold
+        for zz in (z, z.transpose(0, 2, 1, 3)):  # contiguous and strided
+            got = thr.decide(zz)
+            assert got.tobytes() == reference_decide(thr, zz).tobytes()
+
+
 class TestFusedThreshold:
     def exact_bn_sign(self, z, gamma, beta, mean, var, eps=1e-5):
         inv_std = 1.0 / np.sqrt(var + eps)
@@ -113,14 +175,14 @@ class TestFusedThreshold:
 
     def test_plain_sign(self):
         thr = engine.FusedThreshold.from_batchnorm([1.0], [0.0], [0.0], [1.0 - 1e-5])
-        assert thr.decide(np.array([0.0]), channel=0).tolist() == [1]
-        assert thr.decide(np.array([-1e-300]), channel=0).tolist() == [0]
+        assert thr.decide(np.array([[0.0]])).tolist() == [[1]]
+        assert thr.decide(np.array([[-1e-300]])).tolist() == [[0]]
 
     def test_negative_gain_flips(self):
         thr = engine.FusedThreshold.from_batchnorm([-2.0], [0.0], [0.5], [1.0])
         assert int(thr.orientation[0]) == -1
-        assert thr.decide(np.array([0.4]), channel=0).tolist() == [1]
-        assert thr.decide(np.array([0.6]), channel=0).tolist() == [0]
+        assert thr.decide(np.array([[0.4]])).tolist() == [[1]]
+        assert thr.decide(np.array([[0.6]])).tolist() == [[0]]
 
     def test_zero_gain_constant(self):
         thr = engine.FusedThreshold.from_batchnorm([0.0, 0.0], [0.5, -0.5], [0.0, 0.0], [1.0, 1.0])
@@ -140,7 +202,7 @@ class TestFusedThreshold:
             zs = np.concatenate(
                 [rng.normal(mean, 2.0, size=200), [mean, np.floor(mean), np.ceil(mean)]]
             )
-            got = thr.decide(zs, channel=0)
+            got = thr.decide(zs[None, :])[0]
             want = [self.exact_bn_sign(z, gamma, beta, mean, var) for z in zs]
             assert got.tolist() == want
 
@@ -149,8 +211,8 @@ class TestFusedThreshold:
         thr = engine.FusedThreshold.from_batchnorm([2.0], [-3.0], [0.0], [1.0 - 1e-5])
         # root = mean - beta/(gamma*inv_std) = 1.5 exactly
         assert thr.theta[0] == 1.5
-        assert thr.decide(np.array([1.5]), channel=0).tolist() == [1]
-        assert thr.decide(np.array([np.nextafter(1.5, -np.inf)]), channel=0).tolist() == [0]
+        assert thr.decide(np.array([[1.5]])).tolist() == [[1]]
+        assert thr.decide(np.array([[np.nextafter(1.5, -np.inf)]])).tolist() == [[0]]
 
 
 def build_random_model(rng, in_hw=6, in_ch=1, classes=3):
@@ -248,15 +310,15 @@ class TestEngineBitExactness:
                         z[:, :, oy, ox] = np.einsum("bcij,ocij->bo", patch, w_pm)
                 bits = np.zeros_like(z, dtype=np.uint8)
                 for ch in range(p.out_ch):
-                    bits[:, ch] = stage.threshold.decide(
-                        z[:, ch].astype(np.float64), channel=ch
+                    bits[:, ch] = reference_decide_channel(
+                        stage.threshold, z[:, ch].astype(np.float64), ch
                     )
                 x = bits
             elif isinstance(stage, engine.FloatStage):
                 zf = stage.preact(x)
                 bits = np.zeros(zf.shape, dtype=np.uint8)
                 for ch in range(stage.out_ch):
-                    bits[:, ch] = stage.threshold.decide(zf[:, ch], channel=ch)
+                    bits[:, ch] = reference_decide_channel(stage.threshold, zf[:, ch], ch)
                 x = bits
             elif isinstance(stage, engine.Head):
                 xpm = 2.0 * x.reshape(x.shape[0], -1).astype(np.float64) - 1.0
@@ -281,7 +343,7 @@ class TestEngineBitExactness:
         assert counters.position_ops == 0
         # output decided purely by the alpha * q path
         z = engine.affine_remap(np.zeros_like(q), q, om)
-        assert np.array_equal(out[:, 0].ravel(), thr.decide(z, channel=0))
+        assert np.array_equal(out[:, 0].ravel(), thr.decide(z[None, :])[0])
 
     def test_counter_law_dense_pm1(self):
         # fully dense +-1 conv layer: counted position ops = 2 N per window

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio, metrics, modelio
 from .binquant import ValidationError, sign_binarize, quant_stats
-from .engine import infer, reference_forward, worker_count
+from .engine import BinStage, infer, reference_forward, walk_stages, worker_count
 from .nn import Network, conv_net_spec, mlp_spec
 from .sparsity import binary_entropy
 from .train import (
@@ -263,12 +263,14 @@ def cmd_inspect(args) -> int:
     if args.model:
         model = modelio.load_model(args.model)
         print("layer  tau  phi  alpha  beta  p(ones)  entropy")
-        for i, stage in enumerate(model.binary_stages()):
+        for stage, (name, _) in zip(model.stages, walk_stages(model.stages, model.input_shape)):
+            if not isinstance(stage, BinStage):
+                continue
             p = stage.packed
             ones = float(p.bits.mean())
             om = p.omega
             print(
-                f"bin{i}  {om.tau:.6g}  {om.phi:.6g}  {om.alpha:.6g}  {om.beta:.6g}  "
+                f"{name}  {om.tau:.6g}  {om.phi:.6g}  {om.alpha:.6g}  {om.beta:.6g}  "
                 f"{ones:.4f}  {binary_entropy(ones):.4f}"
             )
         if args.csv:

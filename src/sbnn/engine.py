@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .binquant import OmegaParams, ValidationError
-from .nn import _conv_apply, _window_rows
+from .nn import MAX_CONV_PADDING, _conv_apply, _window_rows
 
 
 # ---------------------------------------------------------------------------
@@ -70,24 +70,15 @@ def classify_kernels(bits):
 # fused batchnorm + sign
 # ---------------------------------------------------------------------------
 
-def _ceil_to_float(t: Fraction) -> float:
+def _round_outward(t: Fraction, up: bool) -> float:
+    """The float nearest t on one side: at or above t (up) or at or below."""
     try:
         f = float(t)
     except OverflowError:
         return math.inf if t > 0 else -math.inf
-    if math.isinf(f):
+    if math.isinf(f) or (Fraction(f) >= t if up else Fraction(f) <= t):
         return f
-    return f if Fraction(f) >= t else math.nextafter(f, math.inf)
-
-
-def _floor_to_float(t: Fraction) -> float:
-    try:
-        f = float(t)
-    except OverflowError:
-        return math.inf if t > 0 else -math.inf
-    if math.isinf(f):
-        return f
-    return f if Fraction(f) <= t else math.nextafter(f, -math.inf)
+    return math.nextafter(f, math.inf if up else -math.inf)
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,8 @@ class FusedThreshold:
                 theta[c] = -math.inf if beta[c] >= 0 else math.inf
                 continue
             root = Fraction(mean[c]) - Fraction(beta[c]) / k
-            if k > 0:
-                orientation[c] = 1
-                theta[c] = _ceil_to_float(root)
-            else:
-                orientation[c] = -1
-                theta[c] = _floor_to_float(root)
+            orientation[c] = 1 if k > 0 else -1
+            theta[c] = _round_outward(root, up=k > 0)
         return cls(orientation=orientation, theta=theta)
 
     @property
@@ -279,6 +266,10 @@ class BinStage:
         self._ones = p.bits.sum(axis=1, dtype=np.int64)  # popcount(w) per output row
         self._words = words
 
+    @property
+    def label(self) -> str:
+        return f"bin_{self.packed.kind}"
+
     def window_bits(self, x_bits):
         """Input windows as flat bits: (windows, fan_in) uint8 plus the
         output spatial shape."""
@@ -288,6 +279,7 @@ class BinStage:
         return x_bits.reshape(x_bits.shape[0], -1).astype(np.uint8), None
 
     def forward(self, x_bits, counters: OpsCounters, skip: bool = True):
+        x_bits = _require_bits(x_bits)
         self._prepare()
         p = self.packed
         b = x_bits.shape[0]
@@ -332,7 +324,7 @@ class BinStage:
         z = affine_remap(zprime, q[None, :], p.omega)
         bits = self.threshold.decide(z)
         counters.add_layer(
-            f"bin_{p.kind}",
+            self.label,
             position_ops=position_ops,
             word_popcounts=word_ops,
             flops=int(3 * bits.size + bits.size),
@@ -356,6 +348,10 @@ class FloatStage:
     threshold: FusedThreshold
     takes_bits: bool = False
 
+    @property
+    def label(self) -> str:
+        return f"fp_{self.kind}"
+
     def preact(self, x):
         if self.takes_bits:
             x = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
@@ -370,15 +366,15 @@ class FloatStage:
         z = self.preact(x)
         bits = np.moveaxis(self.threshold.decide(np.moveaxis(z, 1, 0)), 0, 1)
         macs = self.weight.size * (z.size // self.out_ch)
-        counters.add_layer(
-            f"fp_{self.kind}", flops=int(2 * macs + z.size), position_ops=0
-        )
+        counters.add_layer(self.label, flops=int(2 * macs + z.size), position_ops=0)
         return bits
 
 
 @dataclass
 class BitPool:
     """2x2 stride-2 max pool on bits (max of bits = OR)."""
+
+    label = "pool"
 
     def forward(self, x_bits, counters: OpsCounters):
         b, c, h, w = x_bits.shape
@@ -394,6 +390,7 @@ class Head:
 
     weight: np.ndarray
     bias: np.ndarray
+    label = "head"
 
     def forward(self, x_bits, counters: OpsCounters):
         x = 2.0 * x_bits.reshape(x_bits.shape[0], -1).astype(np.float64) - 1.0
@@ -402,7 +399,7 @@ class Head:
                 f"classifier expects {self.weight.shape[1]} features, got {x.shape[1]}"
             )
         logits = x @ self.weight.T + self.bias
-        counters.add_layer("head", flops=int(2 * self.weight.size * x.shape[0]))
+        counters.add_layer(self.label, flops=int(2 * self.weight.size * x.shape[0]))
         return logits
 
 
@@ -416,6 +413,46 @@ class QuantizedModel:
 
     def binary_stages(self):
         return [s for s in self.stages if isinstance(s, BinStage)]
+
+
+def walk_stages(stages, input_shape):
+    """Each stage's name, s{index}_{label}, and its output shape for one
+    image of `input_shape`, as a list of (name, shape) pairs. Raises a
+    ValidationError unless every stage takes the shape the stage before it
+    gives: a conv its channel count, a pool an even-sized map, a linear stage
+    or the head its flattened feature count. A conv may give an empty map."""
+    shape, walked = tuple(input_shape), []
+    for i, stage in enumerate(stages):
+        layer = stage.packed if isinstance(stage, BinStage) else stage
+        if isinstance(stage, BitPool):
+            if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
+                raise ValidationError(f"stage {i}: pool needs an even-sized map, gets {shape}")
+            shape = (shape[0], shape[1] // 2, shape[2] // 2)
+        elif isinstance(stage, Head) or layer.kind == "linear":
+            head = isinstance(stage, Head)
+            out_ch, in_ch = stage.weight.shape if head else (layer.out_ch, layer.in_ch)
+            if math.prod(shape) != in_ch:
+                raise ValidationError(
+                    f"stage {i}: input width {in_ch}, gets {math.prod(shape)} features"
+                )
+            shape = (out_ch,)
+        else:
+            if len(shape) != 3 or shape[0] != layer.in_ch:
+                raise ValidationError(
+                    f"stage {i}: conv takes {layer.in_ch} channels, gets shape {shape}"
+                )
+            if layer.stride < 1:
+                raise ValidationError(f"stage {i}: conv stride {layer.stride}")
+            if layer.padding > MAX_CONV_PADDING:
+                raise ValidationError(
+                    f"stage {i}: conv padding {layer.padding} above {MAX_CONV_PADDING}"
+                )
+            hw = tuple((d + 2 * layer.padding - 3) // layer.stride + 1 for d in shape[1:])
+            if min(hw) < 0:
+                raise ValidationError(f"stage {i}: conv window does not fit a {shape[1:]} map")
+            shape = (layer.out_ch,) + hw
+        walked.append((f"s{i}_{stage.label}", shape))
+    return walked
 
 
 def worker_count() -> int:
@@ -500,7 +537,6 @@ def reference_forward(model: QuantizedModel, images):
     for stage in model.stages:
         if isinstance(stage, BinStage):
             p = stage.packed
-            stage._prepare()
             windows, out_hw = stage.window_bits(_require_bits(x))
             w01 = p.bits.astype(np.float64)
             bits = np.empty((p.out_ch, windows.shape[0]), dtype=np.uint8)

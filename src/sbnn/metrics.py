@@ -17,19 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .binquant import ValidationError
-from .engine import (
-    BinStage,
-    BitPool,
-    FloatStage,
-    Head,
-    OpsCounters,
-    QuantizedModel,
-)
+from .engine import BinStage, FloatStage, Head, OpsCounters, QuantizedModel, walk_stages
 from .sparsity import binary_entropy
 
 
@@ -77,41 +71,19 @@ def kernel_hamming_fractions(packed_layer) -> np.ndarray:
 
 
 def hamming_histogram(model: QuantizedModel):
-    """Per-binarized-conv-layer Hamming-weight fractions, as a list of
-    (layer_name, fractions[10])."""
-    out = []
-    for i, stage in enumerate(model.stages):
-        if isinstance(stage, BinStage) and stage.packed.kind == "conv3x3":
-            out.append((f"layer{i}", kernel_hamming_fractions(stage.packed)))
-    return out
+    """Per-binarized-conv-stage Hamming-weight fractions, as a list of
+    (stage_name, fractions[10])."""
+    walked = walk_stages(model.stages, model.input_shape)
+    return [
+        (name, kernel_hamming_fractions(stage.packed))
+        for stage, (name, _) in zip(model.stages, walked)
+        if isinstance(stage, BinStage) and stage.packed.kind == "conv3x3"
+    ]
 
 
 # ---------------------------------------------------------------------------
 # whole-model report
 # ---------------------------------------------------------------------------
-
-def _walk_shapes(model: QuantizedModel):
-    """Output spatial positions per stage for one input image."""
-    c, h, w = model.input_shape
-    shapes = []
-    for stage in model.stages:
-        if isinstance(stage, (FloatStage, BinStage)):
-            obj = stage.packed if isinstance(stage, BinStage) else stage
-            if obj.kind == "conv3x3":
-                h = (h + 2 * obj.padding - 3) // obj.stride + 1
-                w = (w + 2 * obj.padding - 3) // obj.stride + 1
-                c = obj.out_ch
-                shapes.append((c, h, w, h * w))
-            else:
-                c, h, w = obj.out_ch, 1, 1
-                shapes.append((c, 1, 1, 1))
-        elif isinstance(stage, BitPool):
-            h, w = h // 2, w // 2
-            shapes.append((c, h, w, h * w))
-        elif isinstance(stage, Head):
-            shapes.append((stage.weight.shape[0], 1, 1, 1))
-    return shapes
-
 
 @dataclass
 class OpsReport:
@@ -120,7 +92,7 @@ class OpsReport:
 
     def to_text(self) -> str:
         cols = [
-            ("layer", 14),
+            ("layer", 16),
             ("bops_bnn", 12),
             ("bops_sbnn", 12),
             ("bops_pr", 9),
@@ -170,7 +142,6 @@ def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsRepor
     engine's runtime counters reproduce the same numbers (the acceptance
     suite cross-checks them)."""
     report = OpsReport()
-    shapes = _walk_shapes(model)
     tot = {
         "bops_bnn": 0,
         "bops_sbnn": 0,
@@ -183,7 +154,8 @@ def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsRepor
         "ones": 0,
         "n_bits": 0,
     }
-    for stage, (c, h, w, pos) in zip(model.stages, shapes):
+    for stage, (name, shape) in zip(model.stages, walk_stages(model.stages, model.input_shape)):
+        c, pos = shape[0], math.prod(shape[1:])  # output channels, positions
         if isinstance(stage, BinStage):
             p = stage.packed
             n = p.weight_count
@@ -201,7 +173,7 @@ def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsRepor
                 bits = n
             ones = int(p.bits.sum())
             row = {
-                "layer": f"bin_{p.kind}",
+                "layer": name,
                 "bops_bnn": base,
                 "bops_sbnn": counted,
                 "bops_pr": bops_pruning_ratio(counted, base),
@@ -228,12 +200,12 @@ def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsRepor
         elif isinstance(stage, FloatStage):
             macs = stage.weight.size * pos
             report.layers.append(
-                {"layer": f"fp_{stage.kind}", "flops": 2 * macs + c * pos}
+                {"layer": name, "flops": 2 * macs + c * pos}
             )
             tot["flops"] += 2 * macs + c * pos
         elif isinstance(stage, Head):
             macs = stage.weight.size
-            report.layers.append({"layer": "head", "flops": 2 * macs})
+            report.layers.append({"layer": name, "flops": 2 * macs})
             tot["flops"] += 2 * macs
     ktotal = tot["k0"] + tot["k1"] + tot["kd"]
     report.totals = {

@@ -51,9 +51,9 @@ from .engine import (
     Head,
     PackedLayer,
     QuantizedModel,
+    walk_stages,
 )
 from .metrics import bparams_bits
-from .nn import MAX_CONV_PADDING
 
 MAGIC = b"SBNN"
 VERSION = 1
@@ -237,43 +237,6 @@ def _decode_kernel_payload(cur: _Cursor, kind, out_ch, fan_in):
     return bits.reshape(out_ch, fan_in)
 
 
-def _check_chain(stages, in_shape):
-    """Raise ModelFileError unless every stage takes the shape the stage
-    before it gives: a conv its channel count, a pool an even-sized map, a
-    linear stage or the head its flattened feature count."""
-    shape = in_shape
-    for i, stage in enumerate(stages):
-        if isinstance(stage, BitPool):
-            if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
-                raise ModelFileError(f"stage {i}: pool needs an even-sized map, gets {shape}")
-            shape = (shape[0], shape[1] // 2, shape[2] // 2)
-            continue
-        if isinstance(stage, Head):
-            kind, (out_ch, in_ch) = "linear", stage.weight.shape
-        else:
-            layer = stage.packed if isinstance(stage, BinStage) else stage
-            kind, in_ch, out_ch = layer.kind, layer.in_ch, layer.out_ch
-        if kind == "linear":
-            if math.prod(shape) != in_ch:
-                raise ModelFileError(
-                    f"stage {i}: input width {in_ch}, gets {math.prod(shape)} features"
-                )
-            shape = (out_ch,)
-            continue
-        if len(shape) != 3 or shape[0] != in_ch:
-            raise ModelFileError(f"stage {i}: conv takes {in_ch} channels, gets shape {shape}")
-        if layer.stride < 1:
-            raise ModelFileError(f"stage {i}: conv stride {layer.stride}")
-        if layer.padding > MAX_CONV_PADDING:
-            raise ModelFileError(
-                f"stage {i}: conv padding {layer.padding} above {MAX_CONV_PADDING}"
-            )
-        hw = tuple((d + 2 * layer.padding - 3) // layer.stride + 1 for d in shape[1:])
-        if min(hw) < 0:
-            raise ModelFileError(f"stage {i}: conv window does not fit a {shape[1:]} map")
-        shape = (out_ch,) + hw
-
-
 def decode(data: bytes) -> QuantizedModel:
     if len(data) < 8:
         raise TruncatedStream(f"file is {len(data)} bytes; header needs 8")
@@ -363,7 +326,10 @@ def decode(data: bytes) -> QuantizedModel:
         raise TruncatedStream(
             f"{len(body) - cur.pos} unread bytes after last stage (offset {cur.pos + 8})"
         )
-    _check_chain(stages, in_shape)
+    try:
+        walk_stages(stages, in_shape)
+    except ValidationError as exc:  # a stage chain that does not fit
+        raise ModelFileError(str(exc)) from exc
     return QuantizedModel(stages=stages, input_shape=in_shape, classes=classes)
 
 

@@ -61,10 +61,6 @@ class TrainConfig:
     h_star: float | None = None  # alternative entry: ec = h^-1(h_star)
     seed: int = 0
     omega_mode: str = "analytic"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cosine_lr: bool = True
     augment: bool = False  # seeded shift-crop + horizontal flip
 
     def __post_init__(self):
@@ -116,22 +112,23 @@ class TrainReport:
 
 
 class Adam:
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.params = params  # list of (name, Parameter)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {n: np.zeros_like(p.value) for n, p in params}
         self.v = {n: np.zeros_like(p.value) for n, p in params}
         self.t = 0
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for n, p in self.params:
             m = self.m[n] = b1 * self.m[n] + (1 - b1) * p.grad
             v = self.v[n] = b2 * self.v[n] + (1 - b2) * p.grad**2
             mhat = m / (1 - b1**self.t)
             vhat = v / (1 - b2**self.t)
-            p.value -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.value -= lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def cosine_lr(base_lr, epoch, total_epochs):
@@ -174,14 +171,12 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None) -> TrainReport:
     if images.shape[0] < 1:
         raise ValidationError("empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    opt = Adam(
-        network.params(), beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps
-    )
+    opt = Adam(network.params())
     report = TrainReport()
     ec = cfg.ec
     best_loss = np.inf
     for epoch in range(cfg.epochs):
-        lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs) if cfg.cosine_lr else cfg.learning_rate
+        lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
         order = rng.permutation(images.shape[0])
         losses = []
         last_j, last_lam = 0.0, 0.0
@@ -304,7 +299,10 @@ def load_snapshot(path) -> Snapshot:
         params = {k[2:]: z[k] for k in z.files if k.startswith("p:")}
         buffers = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
     spec = tuple(LayerSpec(**d) for d in meta["spec"])
-    meta["cfg"].pop("mixup_alpha", None)  # written by older versions, never used
+    # written by older versions: mixup_alpha was never used, and no caller
+    # changed the Adam constants or switched the cosine schedule off
+    for key in ("mixup_alpha", "adam_beta1", "adam_beta2", "adam_eps", "cosine_lr"):
+        meta["cfg"].pop(key, None)
     cfg = TrainConfig(**meta["cfg"])
     return Snapshot(
         spec=spec,

@@ -1,3 +1,4 @@
+import re
 import struct
 import subprocess
 import sys
@@ -270,6 +271,18 @@ def _head_width_plus_one(m):
     return _set_stage(m, len(m.stages) - 1, engine.Head(weight=wider, bias=head.bias))
 
 
+def _binary_first_stage(m):
+    """A binary conv takes the float images themselves."""
+    p, rng = m.stages[1].packed, np.random.default_rng(0)
+    conv = engine.PackedLayer(
+        kind=p.kind, in_ch=1, out_ch=p.out_ch, stride=1, padding=1, omega=p.omega,
+        bits=(rng.random((p.out_ch, 9)) < 0.4).astype(np.uint8),
+    )
+    head = engine.Head(weight=rng.normal(size=(2, p.out_ch * 64)), bias=np.zeros(2))
+    stages = [engine.BinStage(packed=conv, threshold=m.stages[1].threshold), head]
+    return engine.QuantizedModel(stages, m.input_shape, m.classes)
+
+
 class TestCraftedModelFiles:
     """Malformed model files with a valid crc are data errors: exit 3 with a
     one-line message, no traceback."""
@@ -300,6 +313,7 @@ class TestCraftedModelFiles:
             (_conv_in_ch_plus_one, "stage 1: conv takes 4 channels, gets shape (3, 8, 8)"),
             (_head_width_plus_one, "stage 4: input width 8, gets 7 features"),
             (_conv_padding_600, "stage 1: conv padding 600 above 2"),
+            (_binary_first_stage, "binary stage fed non-bit activations"),
         ],
     )
     def test_broken_stage_chain(self, tmp_path, capsys, build, message):
@@ -312,6 +326,38 @@ class TestCraftedModelFiles:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+
+class TestStageNames:
+    """The engine's one stage walk gives every stage's shape and its name,
+    s{index}_{label}, and each per-stage output uses that name."""
+
+    NAMES = ["s0_fp_conv3x3", "s1_bin_conv3x3", "s2_pool", "s3_bin_linear", "s4_head"]
+
+    def test_walk_gives_hand_computed_shapes(self):
+        m = golden_model()
+        # 8x8 padded convs keep the map, the pool halves it, the linear
+        # stage takes 5 * 4 * 4 = 80 features
+        shapes = [(3, 8, 8), (5, 8, 8), (5, 4, 4), (7,), (2,)]
+        assert engine.walk_stages(m.stages, m.input_shape) == list(zip(self.NAMES, shapes))
+
+    def test_report_csv_and_inspect_rows_agree(self, tmp_path, capsys):
+        path, csv_path = tmp_path / "golden.sbnn", tmp_path / "h.csv"
+        modelio.save_model(path, golden_model())
+
+        def row_names(text):
+            firsts = (line.split()[0] for line in text.splitlines() if line.strip())
+            return [name for name in firsts if re.fullmatch(r"s\d+_\w+", name)]
+
+        capsys.readouterr()
+        assert run_cli(["bench", "--model", str(path)]) == 0
+        assert row_names(capsys.readouterr().out) == [
+            "s0_fp_conv3x3", "s1_bin_conv3x3", "s3_bin_linear", "s4_head"
+        ]
+        assert run_cli(["inspect", "--model", str(path), "--csv", str(csv_path)]) == 0
+        assert row_names(capsys.readouterr().out) == ["s1_bin_conv3x3", "s3_bin_linear"]
+        csv_rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in csv_rows] == ["s1_bin_conv3x3"]
 
 
 class TestMlpPipeline:

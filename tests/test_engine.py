@@ -215,6 +215,23 @@ class TestFusedThreshold:
         assert thr.decide(np.array([[np.nextafter(1.5, -np.inf)]])).tolist() == [[0]]
 
 
+class TestRoundOutward:
+    def test_nearest_float_on_each_side(self):
+        rng = np.random.default_rng(8)
+        pairs = rng.integers(-(10**12), 10**12, size=(200, 2))
+        values = [Fraction(int(a), int(b)) for a, b in pairs if b]
+        for t in values + [Fraction(3, 2), Fraction(0), Fraction(1, 10**400)]:
+            down, up = engine._round_outward(t, up=False), engine._round_outward(t, up=True)
+            assert Fraction(down) <= t <= Fraction(up)
+            # the two sides meet on a representable t, else they are neighbours
+            assert down == up if Fraction(down) == t else up == np.nextafter(down, np.inf)
+
+    def test_overflow_goes_to_infinity(self):
+        for up in (False, True):
+            assert engine._round_outward(Fraction(10**400), up) == np.inf
+            assert engine._round_outward(Fraction(-(10**400)), up) == -np.inf
+
+
 def build_random_model(rng, in_hw=6, in_ch=1, classes=3):
     """Small random quantized conv model for fuzz tests."""
     from sbnn import nn as nnmod

@@ -163,6 +163,12 @@ class TestOpsReport:
         text = rep.to_text()
         assert "TOTAL" in text and "gain estimate" in text and "40.00x" in text
 
+    def test_chain_that_does_not_fit_is_rejected(self):
+        model, _ = self._model()
+        del model.stages[-2]  # the head now gets the larger map before the last conv
+        with pytest.raises(ValidationError, match="input width"):
+            metrics.build_ops_report(model)
+
     def test_histogram_csv(self):
         model, _ = self._model()
         rep = metrics.build_ops_report(model)

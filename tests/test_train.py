@@ -201,22 +201,33 @@ class TestSnapshots:
         for (n1, p1), (n2, p2) in zip(net.params(), net2.params()):
             assert np.array_equal(p1.value, p2.value)
 
-    def test_snapshot_with_mixup_alpha_loads(self, tmp_path):
-        # older versions saved an unused TrainConfig.mixup_alpha
+    def _old_snapshot_loads(self, path, **old_cfg_keys):
+        """Save a snapshot whose config also holds keys an older version
+        wrote, then check that it loads as the snapshot saved."""
         net, data, cfg, ds = small_setup(epochs=1)
         snap = take_snapshot(net, cfg, (36,), 2)
-        path = tmp_path / "snap.npz"
         save_snapshot(path, snap)
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        meta["cfg"]["mixup_alpha"] = 0.0
+        meta["cfg"].update(old_cfg_keys)
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         back = load_snapshot(path)
         assert back.snapshot_id == snap.snapshot_id
         assert back.cfg == cfg
+
+    def test_snapshot_with_mixup_alpha_loads(self, tmp_path):
+        # older versions saved an unused TrainConfig.mixup_alpha
+        self._old_snapshot_loads(tmp_path / "snap.npz", mixup_alpha=0.0)
+
+    def test_snapshot_with_optimizer_settings_loads(self, tmp_path):
+        # older versions saved the Adam constants and a cosine-schedule flag
+        self._old_snapshot_loads(
+            tmp_path / "snap.npz", adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8,
+            cosine_lr=True,
+        )
 
     def test_snapshot_id_content_hash(self):
         net, data, cfg, ds = small_setup(epochs=1)

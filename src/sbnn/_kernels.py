@@ -1,10 +1,10 @@
 """The hot bit-kernels of the inference engine, on np.bitwise_count.
 
 The packed popcount reductions dominate inference runtime. Bits are packed
-LSB-first with zero padding bits, in words of any unsigned dtype (the engine
-packs each pixel's channels into the narrowest of uint8/16/32/64).
-`and_popcount_matmat` accumulates in place into a caller-owned int32 array, so
-a stage sums its taps with no temporary per tap (exact while fan-in < 2**31).
+LSB-first with zero padding bits; a binary stage hands the kernels uint64
+words, each holding several taps' channel words side by side (see
+`engine.BinStage`). np.bitwise_count costs about the same per word at any
+width, so whole uint64 words make each popcount count the most bits.
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ def popcount_rows(words):
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
-def and_popcount_matmat(a, b, out=None):
-    """out[r, p] += sum_k popcount(a[r, k] & b[p, k]) for a (R, K), b (P, K) of
-    one unsigned word dtype, in place into `out` (an int32 (R, P) array or view;
-    a new zeroed one when None), which it returns. One word column at a time;
-    exact while the fan-in, all bits summed into a row of `out`, is < 2**31."""
-    if out is None:
-        out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
-    if a.dtype == np.uint16:
-        # np.bitwise_count is ~2x slower per uint16 than per uint32 word;
-        # the operands are small next to the (R, P) result
-        a, b = a.astype(np.uint32), b.astype(np.uint32)
+def and_popcount_matmat(a, b):
+    """int32 (R, P) counts sum_k popcount(a[r, k] & b[p, k]) for a (R, K),
+    b (P, K) of one unsigned word dtype. One word column at a time, so
+    b[:, k] is best contiguous (b a transposed (K, P) array); exact while the
+    fan-in, all bits summed into one count, is < 2**31."""
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int32)
     both = np.empty(out.shape, dtype=np.result_type(a, b))
     counts = np.empty(out.shape, dtype=np.uint8)
     for k in range(a.shape[1]):

@@ -274,9 +274,8 @@ def cmd_inspect(args) -> int:
                 f"{ones:.4f}  {binary_entropy(ones):.4f}"
             )
         if args.csv:
-            rep = metrics.OpsReport()
             with open(args.csv, "w") as fh:
-                fh.write(rep.histograms_csv(model))
+                fh.write(metrics.histograms_csv(model))
             print(f"histogram csv: {args.csv}")
         return EXIT_OK
     snap = load_snapshot(args.snapshot)

@@ -11,18 +11,22 @@ A quantized model is a pipeline of stages over bit activations (+1 -> bit 1,
 
 A binary stage packs the input channels of each pixel into words once (the
 narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
-channels) and holds its weights as (out, taps, words): 9 taps for a 3x3
-conv, 1 for a linear stage. z' is the AND+popcount of each tap's shifted
-(strided) input view against that tap's weight words, summed over the taps;
-padding is a halo of zero words (-1 activations). Skipping works per
-(output channel, tap): a row whose word at a tap is all zero is left out of
-that tap, so weight-0 kernels cost nothing beyond the activation-sum term.
-Skipping is exact: outputs are identical with it on or off.
+channels). Its weights are tap-packed: each output row holds its taps'
+channel words side by side (9 taps for a 3x3 conv, 1 for a linear stage),
+zero-padded to whole uint64 words, as (out, K). Each window's words are
+laid out the same way from the shifted (strided) input views, so z' is one
+AND+popcount over K uint64 words per (row, window) pair; padding is a halo
+of zero words (-1 activations). Skipping leaves out the uint64 word columns
+that are zero in every row. A word column spans many (channel, tap) weight
+positions of every row, so on the benchmark's trained and seeded models no
+column is all zero and skip on and skip off run the same words; the paper's
+op count still charges only Dense kernels. Skipping is exact: outputs are
+identical with it on or off.
 
-A stage allocates each (out, windows) array once per batch: `pack` shift-ors
-channel slabs into words, every tap's AND+popcount adds into one int32 overlap
-(a skipped tap's kept rows one row view at a time), the remap works in one
-float64 array and the threshold is one comparison per value.
+A stage runs the AND+popcount, z', the remap and the threshold over slices of
+windows of at most STAGE_SLICE_VALUES (out, windows) values, into one uint8
+(out, windows) bit array: no int32, int64 or float64 array grows with the
+batch beyond one value per window.
 
 Integer pre-activations are exact by construction; the affine remap and the
 threshold comparison are the single canonical float expressions shared with
@@ -158,12 +162,12 @@ class OpsCounters:
 
     position_ops follows the paper's 2-ops-per-weight-position convention
     (XNOR + accumulate): with skipping, 2 * 9 * K_dense per window of a conv
-    stage, else 2 per weight per window. word_popcounts counts the
-    channel-word AND+popcount pairs executed, at each stage's word width
-    (uint8 to uint64), so it shrinks with the (output channel, tap) words
-    skipped. gather_ops reads 0: no stage gathers any more. flops counts
-    float operations (2 per MAC in full-precision layers, 3 per remapped
-    output, 1 per threshold compare).
+    stage, else 2 per weight per window. word_popcounts counts the uint64
+    AND+popcount word pairs executed, (out rows) x (windows) x (word columns
+    run); skipping removes only word columns that are zero in every row, so
+    it rarely shrinks. gather_ops reads 0: no stage gathers any more. flops
+    counts float operations (2 per MAC in full-precision layers, 3 per
+    remapped output, 1 per threshold compare).
     """
 
     images: int = 0
@@ -248,23 +252,34 @@ def pack(bits, axis):
     return out.view(f"u{width}")
 
 
+# (out, windows) values per slice of windows in BinStage.forward: every
+# temporary of a slice stays about 1 MB, so the heap reuses it from one
+# slice to the next instead of faulting in fresh pages for each batch
+STAGE_SLICE_VALUES = 1 << 17
+
+
 @dataclass
 class BinStage:
     packed: PackedLayer
     threshold: FusedThreshold
 
     def _prepare(self):
-        """Built lazily: the weights as channel words per kernel tap, shape
-        (out, taps, words) with 9 taps for a conv and 1 for a linear stage,
-        and per tap the output rows with a one-bit there."""
+        """Built lazily: the weights as tap-packed uint64 words, shape
+        (out, K). Each row holds its taps' channel words side by side (9 taps
+        for a conv, 1 for a linear stage), zero-padded to whole uint64 words.
+        Also the word columns with a one-bit in some row (what skipping runs)
+        and popcount(w) per row."""
         if getattr(self, "_words", None) is not None:
             return
         p = self.packed
         taps = 9 if p.kind == "conv3x3" else 1
-        words = pack(p.bits.reshape(p.out_ch, -1, taps), axis=1)
-        self._tap_rows = [np.flatnonzero(words[:, t].any(axis=1)) for t in range(taps)]
-        self._ones = p.bits.sum(axis=1, dtype=np.int64)  # popcount(w) per output row
-        self._words = words
+        tap_words = pack(p.bits.reshape(p.out_ch, -1, taps), axis=1).reshape(p.out_ch, -1)
+        k = -(-tap_words.shape[1] * tap_words.itemsize // 8)
+        words = np.zeros((p.out_ch, k * 8 // tap_words.itemsize), dtype=tap_words.dtype)
+        words[:, : tap_words.shape[1]] = tap_words
+        self._words = words.view(np.uint64)
+        self._kept = np.flatnonzero(self._words.any(axis=0))
+        self._ones = p.bits.sum(axis=1, dtype=np.int64)
 
     @property
     def label(self) -> str:
@@ -279,6 +294,8 @@ class BinStage:
         return x_bits.reshape(x_bits.shape[0], -1).astype(np.uint8), None
 
     def forward(self, x_bits, counters: OpsCounters, skip: bool = True):
+        """The stage's output bits, as a (B, out, Ho, Wo) view of channel-first
+        planes for a conv and (B, out) for a linear stage, and q per window."""
         x_bits = _require_bits(x_bits)
         self._prepare()
         p = self.packed
@@ -290,48 +307,53 @@ class BinStage:
         if pad:  # a halo of zero words: bit 0 is -1, as window_bits pads
             x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         ho, wo = (x.shape[1] - ks) // s + 1, (x.shape[2] - ks) // s + 1
-        nwin, nwords = b * ho * wo, x.shape[3]
+        nwin, nwords, k = b * ho * wo, x.shape[3], self._words.shape[1]
 
-        def shifted(a, t):
+        # each window's tap words side by side, in the weights' order, then
+        # word-major: win[j] is word j of every window
+        windows = np.zeros((b, ho, wo, k * 8 // x.itemsize), dtype=x.dtype)
+        for t in range(ks * ks):
             i, j = divmod(t, ks)
-            return a[:, i : i + s * (ho - 1) + 1 : s, j : j + s * (wo - 1) + 1 : s]
+            windows[..., t * nwords : (t + 1) * nwords] = x[
+                :, i : i + s * (ho - 1) + 1 : s, j : j + s * (wo - 1) + 1 : s
+            ]
+        win = np.ascontiguousarray(windows.view(np.uint64).reshape(nwin, k).T)
+        del windows  # before the slices allocate theirs
+        q = 2 * _kernels.popcount_rows(win.T) - p.fan_in
 
-        pixel_ones = _kernels.popcount_rows(x.reshape(-1, nwords)).reshape(x.shape[:3])
-        q = 2 * sum(shifted(pixel_ones, t) for t in range(ks * ks)).ravel() - p.fan_in
+        # skipping leaves out the word columns that are zero in every row
+        w = self._words
+        if skip and self._kept.size < k:
+            w, win = w[:, self._kept], win[self._kept]
 
-        # z' = 2 * popcount(x AND w) - popcount(w), the AND+popcount summed
-        # over the taps' shifted inputs; skipping leaves out the rows whose
-        # word at a tap is all zero
-        overlap = np.zeros((p.out_ch, nwin), dtype=np.int32)
-        word_ops = 0
-        for t, rows in enumerate(self._tap_rows):
-            n = rows.size if skip else p.out_ch
-            if n == 0:
-                continue
-            win = shifted(x, t).reshape(nwin, nwords)
-            w = self._words[:, t]
-            if n == p.out_ch:
-                _kernels.and_popcount_matmat(w, win, out=overlap)
-            else:  # row views of overlap: no gather/scatter copies
-                for r in rows:
-                    _kernels.and_popcount_matmat(w[r : r + 1], win, out=overlap[r : r + 1])
-            word_ops += n * nwin * nwords
-        zprime = 2 * overlap - self._ones[:, None]
+        # z' = 2 * popcount(x AND w) - popcount(w), the remap and the
+        # threshold, one slice of windows at a time
+        bits = np.empty((p.out_ch, nwin), dtype=np.uint8)
+        step = max(1, STAGE_SLICE_VALUES // p.out_ch)
+        with np.errstate():  # scopes the buffer size set below
+            # numpy buffers an op over (rows, 1) or (1, columns) operands
+            # whose rows are shorter than its buffer (8192 values by default),
+            # 2-3x slower per value: a buffer no wider than a slice avoids it
+            np.setbufsize(max(16, min(np.getbufsize(), step // 16 * 16)))
+            for lo in range(0, nwin, step):
+                overlap = _kernels.and_popcount_matmat(w, win[:, lo : lo + step].T)
+                overlap *= 2
+                zprime = np.subtract(overlap, self._ones[:, None])
+                z = affine_remap(zprime, q[None, lo : lo + step], p.omega)
+                bits[:, lo : lo + step] = self.threshold.decide(z)
         if skip and conv:
             position_ops = 2 * 9 * p.kernel_counts[2] * nwin
         else:
             position_ops = 2 * p.weight_count * nwin
-        z = affine_remap(zprime, q[None, :], p.omega)
-        bits = self.threshold.decide(z)
         counters.add_layer(
             self.label,
             position_ops=position_ops,
-            word_popcounts=word_ops,
+            word_popcounts=p.out_ch * nwin * w.shape[1],
             flops=int(3 * bits.size + bits.size),
             baseline_position_ops=2 * p.weight_count * nwin,
         )
         out = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3) if conv else bits.T
-        return out, (zprime, q)
+        return out, q
 
 
 @dataclass
@@ -469,9 +491,20 @@ def worker_count() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _require_finite(images):
+def _batch(model, images):
+    """The images as a float64 (B, C, H, W) batch (one (C, H, W) image gets a
+    batch axis). Raises a ValidationError unless each image has the model's
+    input shape and every value is finite."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 3:
+        images = images[None]
+    if images.shape[1:] != tuple(model.input_shape):
+        raise ValidationError(
+            f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}"
+        )
     if not np.isfinite(images).all():
         raise ValidationError("images hold NaN or infinite values")
+    return images
 
 
 def _infer_chunk(model, images, skip):
@@ -489,16 +522,10 @@ def _infer_chunk(model, images, skip):
 def infer(model: QuantizedModel, images, skip: bool = True, workers: int | None = None):
     """Run the engine over a batch: (logits, OpsCounters). `skip=False`
     forces the full popcount path (no kernel skipping) for equivalence
-    checks; outputs are identical either way. Images holding NaN or
-    infinite values are rejected with a ValidationError."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[None]
-    if images.shape[1:] != tuple(model.input_shape):
-        raise ValidationError(
-            f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}"
-        )
-    _require_finite(images)
+    checks; outputs are identical either way. Images of another shape than
+    the model's input, or holding NaN or infinite values, are rejected with
+    a ValidationError."""
+    images = _batch(model, images)
     for stage in model.stages:
         if isinstance(stage, BinStage):
             stage._prepare()  # before any fan-out: workers share the stage
@@ -527,11 +554,9 @@ REFERENCE_SLICE_VALUES = 1 << 18
 def reference_forward(model: QuantizedModel, images):
     """Dense float path over the same quantized model. Binary stages run as
     +-1 float matmuls (exact integers) followed by the same canonical remap
-    and threshold decisions, so logits match infer() bit for bit."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[None]
-    _require_finite(images)
+    and threshold decisions, so logits match infer() bit for bit. Images
+    are checked as infer() checks them."""
+    images = _batch(model, images)
     counters = OpsCounters()
     x = images
     for stage in model.stages:

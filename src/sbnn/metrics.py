@@ -81,6 +81,17 @@ def hamming_histogram(model: QuantizedModel):
     ]
 
 
+def histograms_csv(model: QuantizedModel) -> str:
+    """The Hamming histogram as CSV: a header, then one row per binarized
+    conv stage, its name and the fractions at Hamming weight 0..9."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["layer"] + [f"hw{k}" for k in range(10)])
+    for name, frac in hamming_histogram(model):
+        writer.writerow([name] + [repr(float(v)) for v in frac])
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # whole-model report
 # ---------------------------------------------------------------------------
@@ -127,14 +138,6 @@ class OpsReport:
                 f"gain estimate 2/EC at EC={t['ec']:.4f}: {t['gain_2_over_ec']:.2f}x"
             )
         return "\n".join(lines) + "\n"
-
-    def histograms_csv(self, model: QuantizedModel) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["layer"] + [f"hw{k}" for k in range(10)])
-        for name, frac in hamming_histogram(model):
-            writer.writerow([name] + [repr(float(v)) for v in frac])
-        return buf.getvalue()
 
 
 def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsReport:

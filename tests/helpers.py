@@ -5,6 +5,8 @@ grids, golden-section refinement, finite differences, and dense integer
 arithmetic.
 """
 
+import contextlib
+
 import numpy as np
 
 from sbnn import engine
@@ -264,3 +266,43 @@ def reference_pack(bits, axis):
     out = np.zeros(packed.shape[:-1] + (-(-nbytes // width) * width,), dtype=np.uint8)
     out[..., :nbytes] = packed
     return out.view(f"u{width}")
+
+
+# ---------------------------------------------------------------------------
+# Binary-stage pre-activations: the int64 oracle and what the engine computed
+# ---------------------------------------------------------------------------
+
+def int_preacts(bits, windows):
+    """The independent oracle: z' (out, windows) and q (windows,) by plain
+    int64 arithmetic over {0,1} weight bits and {0,1} window bits."""
+    x_pm = 2 * windows.astype(np.int64) - 1
+    return bits.astype(np.int64) @ x_pm.T, x_pm.sum(axis=1)
+
+
+@contextlib.contextmanager
+def captured_preacts():
+    """Within the block, collect copies of the (z', q) slices the engine hands
+    to `engine.affine_remap`, in call order."""
+    slices = []
+    real = engine.affine_remap
+
+    def spy(z_prime, q, omega):
+        slices.append((z_prime.copy(), np.array(q, copy=True)))
+        return real(z_prime, q, omega)
+
+    engine.affine_remap = spy
+    try:
+        yield slices
+    finally:
+        engine.affine_remap = real
+
+
+def forward_preacts(stage, x, counters, skip):
+    """Run `stage.forward` under `captured_preacts`. Returns (bits, z', q,
+    returned q), the captured slices joined along the windows axis; z' keeps
+    the dtype the engine gave it."""
+    with captured_preacts() as slices:
+        bits, q_out = stage.forward(x, counters, skip=skip)
+    zprime = np.concatenate([z for z, _ in slices], axis=1)
+    q = np.concatenate([q.ravel() for _, q in slices])
+    return bits, zprime, q, q_out

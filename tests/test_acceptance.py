@@ -14,7 +14,13 @@ from sbnn import binquant as bq
 from sbnn import dataio, engine, metrics, modelio, nn, sparsity
 from sbnn.train import TrainConfig, quantize_network, quantize_snapshot, take_snapshot, train
 
-from helpers import bisect_entropy_inverse, brute_force_omega, quant_sq_loss
+from helpers import (
+    bisect_entropy_inverse,
+    brute_force_omega,
+    forward_preacts,
+    int_preacts,
+    quant_sq_loss,
+)
 
 
 @pytest.fixture
@@ -191,16 +197,14 @@ def test_criterion_5_engine_bit_exactness(announce):
             if isinstance(stage, engine.BinStage):
                 fanin_max = max(fanin_max, stage.packed.fan_in)
                 windows, _ = stage.window_bits(x)
-                w01 = stage.packed.bits.astype(np.int64)
-                x_pm = 2 * windows.astype(np.int64) - 1
-                zprime_oracle = w01 @ x_pm.T
-                q_oracle = x_pm.sum(axis=1)
+                zprime_oracle, q_oracle = int_preacts(stage.packed.bits, windows)
                 # what forward computed, with skipping on and off
-                bits_off, (zp_off, q_off) = stage.forward(x, engine.OpsCounters(), skip=False)
-                x, (zprime, q) = stage.forward(x, counters, skip=True)
-                for zp, qq in ((zprime, q), (zp_off, q_off)):
+                bits_off, *off = forward_preacts(stage, x, engine.OpsCounters(), skip=False)
+                x, *on = forward_preacts(stage, x, counters, skip=True)
+                for zp, qq, q_ret in (on, off):
                     assert np.array_equal(zp, zprime_oracle)
                     assert np.array_equal(qq, q_oracle)
+                    assert np.array_equal(q_ret, q_oracle)
                 assert np.array_equal(x, bits_off)
             else:
                 x = stage.forward(x, counters)

@@ -6,13 +6,15 @@ engine must match the dense float reference bit for bit with skipping on and
 off, and its counters must match the static ops report.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sbnn import _kernels, engine, metrics
 from sbnn.binquant import OmegaParams
 
-from helpers import reference_pack
+from helpers import captured_preacts, forward_preacts, int_preacts, reference_pack
 
 IMAGE_HW = 7
 CONV_OUT = 12
@@ -81,13 +83,13 @@ def _check_preactivations(model, images):
             x = stage.forward(x, engine.OpsCounters())
             continue
         windows, _ = stage.window_bits(x)
-        x_pm = 2 * windows.astype(np.int64) - 1
-        zprime_oracle = stage.packed.bits.astype(np.int64) @ x_pm.T
+        zprime_oracle, q_oracle = int_preacts(stage.packed.bits, windows)
         for skip in (True, False):
-            bits, (zprime, q) = stage.forward(x, engine.OpsCounters(), skip=skip)
+            bits, zprime, q, q_ret = forward_preacts(stage, x, engine.OpsCounters(), skip)
             assert zprime.dtype == np.int64
             assert np.array_equal(zprime, zprime_oracle)
-            assert np.array_equal(q, x_pm.sum(axis=1))
+            assert np.array_equal(q, q_oracle)
+            assert np.array_equal(q_ret, q_oracle)
         x = bits
 
 
@@ -113,9 +115,11 @@ def test_mixed_kernels_match_reference(in_ch, stride, padding):
     model = _model(rng, in_ch, stride, padding, _mixed_kernels(rng, CONV_OUT, in_ch))
     images = rng.normal(size=(5, 1, IMAGE_HW, IMAGE_HW))
     _check_against_reference(model, images)
+    # the 9 taps' channel words side by side, padded to whole uint64 words
+    nbytes, nwords = WORDS[in_ch]
     words = model.stages[1]._words
-    assert words.shape == (CONV_OUT, 9, WORDS[in_ch][1])
-    assert words.dtype.itemsize == WORDS[in_ch][0]
+    assert words.dtype == np.uint64
+    assert words.shape == (CONV_OUT, -(-9 * nbytes * nwords // 8))
 
 
 @pytest.mark.parametrize("in_ch", [1, 16, 65])
@@ -127,6 +131,58 @@ def test_all_zero_layer_matches_reference(in_ch):
     c_on, _ = _check_against_reference(model, images)
     conv = c_on.per_layer[1]
     assert conv["word_popcounts"] == 0 and conv["position_ops"] == 0
+
+
+def _counts(counters):
+    return (counters.images, counters.position_ops, counters.word_popcounts,
+            counters.flops, counters.per_layer)
+
+
+# STAGE_SLICE_VALUES -> windows per slice of the conv (12 rows, 245 windows)
+# and of the linear stage (9 rows, 5 windows): 1-window slices, slices with a
+# ragged last one, and one slice larger than the batch
+SLICINGS = {1: (1, 1), 3 * CONV_OUT: (3, 4), 1 << 30: (245, 5)}
+
+
+@pytest.mark.parametrize("budget", sorted(SLICINGS))
+@pytest.mark.parametrize("in_ch", [6, 16, 65])
+def test_slice_boundaries_match_reference(monkeypatch, in_ch, budget):
+    rng = np.random.default_rng([in_ch, 7])
+    model = _model(rng, in_ch, 1, 1, _mixed_kernels(rng, CONV_OUT, in_ch))
+    images = rng.normal(size=(5, 1, IMAGE_HW, IMAGE_HW))
+    whole = [_counts(engine.infer(model, images, skip=skip)[1]) for skip in (True, False)]
+
+    monkeypatch.setattr(engine, "STAGE_SLICE_VALUES", budget)
+    with captured_preacts() as slices:
+        engine.infer(model, images)
+    conv_step, linear_step = SLICINGS[budget]
+    want = [(CONV_OUT, min(conv_step, 245 - lo)) for lo in range(0, 245, conv_step)]
+    want += [(LINEAR_OUT, min(linear_step, 5 - lo)) for lo in range(0, 5, linear_step)]
+    assert [z.shape for z, _ in slices] == want
+
+    c_on, c_off = _check_against_reference(model, images)
+    assert [_counts(c_on), _counts(c_off)] == whole
+
+
+def test_stage_forward_peak_memory_below_one_int64_zprime():
+    """A sparse16-sized stage (256 images, 16 -> 32 channels, 14x14 input, no
+    padding: 36,864 windows) never holds an (out, windows) int64 array."""
+    rng = np.random.default_rng(9)
+    layer = engine.PackedLayer(
+        kind="conv3x3", in_ch=16, out_ch=32, stride=1, padding=0,
+        bits=(rng.random((32, 16 * 9)) < 0.05).astype(np.uint8),
+        omega=OmegaParams(tau=0.5, phi=-0.1),
+    )
+    stage = engine.BinStage(packed=layer, threshold=_threshold(rng, 32))
+    x = rng.integers(0, 2, size=(256, 16, 14, 14), dtype=np.uint8)
+    stage.forward(x[:1], engine.OpsCounters())  # weights packed outside the trace
+    tracemalloc.start()
+    try:
+        stage.forward(x, engine.OpsCounters())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 36864 * np.dtype(np.int64).itemsize
 
 
 @pytest.mark.parametrize("in_ch", [8, 65])
@@ -158,18 +214,8 @@ def test_and_popcount_matmat_matches_bit_arithmetic(dtype, words):
     assert got.shape == (5, 7)
     assert got.dtype == np.int32
     assert got.tolist() == expect
-    # accumulates in place onto counts already in `out` and returns `out`
-    start = rng.integers(-1000, 1000, size=(5, 7)).astype(np.int32)
-    out = start.copy()
-    assert _kernels.and_popcount_matmat(a, b, out=out) is out
-    assert out.tolist() == (start + np.array(expect, dtype=np.int32)).tolist()
-    # into a one-row view of a larger array, leaving the other rows alone
-    before = np.arange(5 * 7, dtype=np.int32).reshape(5, 7)
-    big = before.copy()
-    row = big[2:3]
-    assert _kernels.and_popcount_matmat(a[2:3], b, out=row) is row
-    assert big[2].tolist() == [before[2, p] + expect[2][p] for p in range(7)]
-    assert np.array_equal(np.delete(big, 2, axis=0), np.delete(before, 2, axis=0))
+    # b as a stage passes it: the transpose of a word-major (K, P) array
+    assert _kernels.and_popcount_matmat(a, np.ascontiguousarray(b.T).T).tolist() == expect
 
 
 @pytest.mark.parametrize("in_ch", sorted(WORDS))

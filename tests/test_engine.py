@@ -7,17 +7,14 @@ import pytest
 from sbnn import engine
 from sbnn.binquant import OmegaParams, ValidationError
 
-from helpers import reference_affine_remap, reference_decide, reference_decide_channel
-
-
-def dense_int_preacts(bits, windows):
-    """Independent oracle: z' and q from plain int64 arithmetic over {0,1}
-    weight bits and {0,1} activation bits."""
-    w01 = bits.astype(np.int64)
-    x_pm = 2 * windows.astype(np.int64) - 1
-    zprime = w01 @ x_pm.T
-    q = x_pm.sum(axis=1)
-    return zprime, q
+from helpers import (
+    forward_preacts,
+    golden_model,
+    int_preacts,
+    reference_affine_remap,
+    reference_decide,
+    reference_decide_channel,
+)
 
 
 class TestKernelClass:
@@ -263,13 +260,15 @@ class TestEngineBitExactness:
         for stage in model.stages:
             if isinstance(stage, engine.BinStage):
                 windows, out_hw = stage.window_bits(x)
-                zprime_oracle, q_oracle = dense_int_preacts(stage.packed.bits, windows)
+                zprime_oracle, q_oracle = int_preacts(stage.packed.bits, windows)
                 # what forward computed, with skipping on and off
-                bits_off, (zp_off, q_off) = stage.forward(x, engine.OpsCounters(), skip=False)
-                x, (zprime, q) = stage.forward(x, counters, skip=True)
-                for zp, qq in ((zprime, q), (zp_off, q_off)):
+                bits_off, *off = forward_preacts(stage, x, engine.OpsCounters(), skip=False)
+                x, *on = forward_preacts(stage, x, counters, skip=True)
+                for zp, qq, q_ret in (on, off):
+                    assert zp.dtype == np.int64
                     assert np.array_equal(zp, zprime_oracle)
                     assert np.array_equal(qq, q_oracle)
+                    assert np.array_equal(q_ret, q_oracle)
                 assert np.array_equal(x, bits_off)
             else:
                 x = stage.forward(x, counters)
@@ -354,8 +353,8 @@ class TestEngineBitExactness:
         stage = engine.BinStage(packed=packed, threshold=thr)
         counters = engine.OpsCounters()
         x = np.random.default_rng(0).integers(0, 2, size=(3, 2, 5, 5)).astype(np.uint8)
-        out, (zprime, q) = stage.forward(x, counters, skip=True)
-        assert np.all(zprime == 0)
+        out, zprime, q, _ = forward_preacts(stage, x, counters, skip=True)
+        assert zprime.shape == (4, 3 * 3 * 3) and np.all(zprime == 0)
         assert counters.word_popcounts == 0
         assert counters.position_ops == 0
         # output decided purely by the alpha * q path
@@ -383,6 +382,16 @@ class TestEngineBitExactness:
         model = build_random_model(rng)
         with pytest.raises(ValidationError):
             engine.infer(model, rng.normal(size=(2, 3, 4, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 8, 8), (2, 1, 6, 6)])
+    def test_both_paths_reject_a_wrong_input_shape(self, shape):
+        # the golden model takes (1, 8, 8) images: one batch has a channel too
+        # many, the other a smaller map that would reach the binary linear stage
+        model = golden_model()
+        images = np.random.default_rng(4).normal(size=shape)
+        for run in (engine.infer, engine.reference_forward):
+            with pytest.raises(ValidationError, match="input shape"):
+                run(model, images)
 
     def test_threaded_inference_matches_serial(self):
         rng = np.random.default_rng(21)

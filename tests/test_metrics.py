@@ -171,8 +171,7 @@ class TestOpsReport:
 
     def test_histogram_csv(self):
         model, _ = self._model()
-        rep = metrics.build_ops_report(model)
-        csv_text = rep.histograms_csv(model)
+        csv_text = metrics.histograms_csv(model)
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("layer,hw0")
         assert len(lines) == 1 + len(model.binary_stages())

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "numpy"  # the only backend; perfbench records it with each run
+# always "numpy", the only backend; kept only because perfbench/run.py
+# records it with each run
+BACKEND = "numpy"
 
 
 def popcount_rows(words):

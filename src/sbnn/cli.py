@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio, metrics, modelio
 from .binquant import ValidationError, sign_binarize, quant_stats
-from .engine import BinStage, infer, reference_forward, walk_stages, worker_count
+from .engine import BinStage, infer, reference_forward, walk_stages
 from .nn import Network, conv_net_spec, mlp_spec
 from .sparsity import binary_entropy
 from .train import (
@@ -223,14 +223,13 @@ def cmd_quantize(args) -> int:
 
 def cmd_eval(args) -> int:
     _log_config(args)
-    workers = worker_count()  # a malformed SBNN_THREADS is a config error
     model = modelio.load_model(args.model)
     ds = _load_dataset(args)
     images = ds.images
     if len(model.input_shape) == 1:
         images = images.reshape(ds.count, -1)
     try:
-        logits, counters = infer(model, images, workers=workers)
+        logits, counters = infer(model, images)
     except ValidationError as exc:  # input/model mismatch is a data problem
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

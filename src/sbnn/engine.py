@@ -36,7 +36,6 @@ the dense reference path, so the two paths produce bit-identical logits.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -165,15 +164,16 @@ class OpsCounters:
     stage, else 2 per weight per window. word_popcounts counts the uint64
     AND+popcount word pairs executed, (out rows) x (windows) x (word columns
     run); skipping removes only word columns that are zero in every row, so
-    it rarely shrinks. gather_ops reads 0: no stage gathers any more. flops
-    counts float operations (2 per MAC in full-precision layers, 3 per
-    remapped output, 1 per threshold compare).
+    it rarely shrinks. flops counts float operations (2 per MAC in
+    full-precision layers, 3 per remapped output, 1 per threshold compare).
+    gather_ops is always 0: no stage gathers. It is kept only because
+    perfbench/pipeline.py still reads it.
     """
 
     images: int = 0
     position_ops: int = 0
     word_popcounts: int = 0
-    gather_ops: int = 0
+    gather_ops: int = 0  # always 0; perfbench/pipeline.py reads it
     flops: int = 0
     per_layer: list = field(default_factory=list)
 
@@ -183,23 +183,7 @@ class OpsCounters:
         self.per_layer.append(entry)
         self.position_ops += kw.get("position_ops", 0)
         self.word_popcounts += kw.get("word_popcounts", 0)
-        self.gather_ops += kw.get("gather_ops", 0)
         self.flops += kw.get("flops", 0)
-
-    def merge(self, other: "OpsCounters"):
-        self.images += other.images
-        self.position_ops += other.position_ops
-        self.word_popcounts += other.word_popcounts
-        self.gather_ops += other.gather_ops
-        self.flops += other.flops
-        if not self.per_layer:
-            self.per_layer = [dict(e) for e in other.per_layer]
-        else:
-            for mine, theirs in zip(self.per_layer, other.per_layer):
-                for k, v in theirs.items():
-                    if k != "layer":
-                        mine[k] = mine.get(k, 0) + v
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +334,6 @@ class BinStage:
             position_ops=position_ops,
             word_popcounts=p.out_ch * nwin * w.shape[1],
             flops=int(3 * bits.size + bits.size),
-            baseline_position_ops=2 * p.weight_count * nwin,
         )
         out = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3) if conv else bits.T
         return out, q
@@ -441,8 +424,9 @@ def walk_stages(stages, input_shape):
     """Each stage's name, s{index}_{label}, and its output shape for one
     image of `input_shape`, as a list of (name, shape) pairs. Raises a
     ValidationError unless every stage takes the shape the stage before it
-    gives: a conv its channel count, a pool an even-sized map, a linear stage
-    or the head its flattened feature count. A conv may give an empty map."""
+    gives: a conv its channel count and a window that fits its (padded) map,
+    a pool an even-sized map, a linear stage or the head its flattened
+    feature count."""
     shape, walked = tuple(input_shape), []
     for i, stage in enumerate(stages):
         layer = stage.packed if isinstance(stage, BinStage) else stage
@@ -470,25 +454,11 @@ def walk_stages(stages, input_shape):
                     f"stage {i}: conv padding {layer.padding} above {MAX_CONV_PADDING}"
                 )
             hw = tuple((d + 2 * layer.padding - 3) // layer.stride + 1 for d in shape[1:])
-            if min(hw) < 0:
+            if min(hw) < 1:
                 raise ValidationError(f"stage {i}: conv window does not fit a {shape[1:]} map")
             shape = (layer.out_ch,) + hw
         walked.append((f"s{i}_{stage.label}", shape))
     return walked
-
-
-def worker_count() -> int:
-    """Worker threads from SBNN_THREADS (default 1), capped at the cores."""
-    env = os.environ.get("SBNN_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValidationError(f"SBNN_THREADS must be a positive integer, got {env!r}")
-    return min(n, os.cpu_count() or 1)
 
 
 def _batch(model, images):
@@ -507,7 +477,19 @@ def _batch(model, images):
     return images
 
 
-def _infer_chunk(model, images, skip):
+def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
+    """Run the engine over a batch on the calling thread: (logits,
+    OpsCounters). `skip=False` forces the full popcount path (no kernel
+    skipping) for equivalence checks; outputs are identical either way.
+    Images of another shape than the model's input, or holding NaN or
+    infinite values, are rejected with a ValidationError.
+
+    `workers` is accepted only as None: perfbench/test_bench.py still passes
+    it through. Any other value raises a ValidationError, so no caller that
+    asks for worker threads silently runs without them."""
+    if workers is not None:
+        raise ValidationError(f"infer runs on the calling thread; workers={workers!r}")
+    images = _batch(model, images)
     counters = OpsCounters()
     counters.images = images.shape[0]
     x = images
@@ -517,34 +499,6 @@ def _infer_chunk(model, images, skip):
         else:
             x = stage.forward(x, counters)
     return x, counters
-
-
-def infer(model: QuantizedModel, images, skip: bool = True, workers: int | None = None):
-    """Run the engine over a batch: (logits, OpsCounters). `skip=False`
-    forces the full popcount path (no kernel skipping) for equivalence
-    checks; outputs are identical either way. Images of another shape than
-    the model's input, or holding NaN or infinite values, are rejected with
-    a ValidationError."""
-    images = _batch(model, images)
-    for stage in model.stages:
-        if isinstance(stage, BinStage):
-            stage._prepare()  # before any fan-out: workers share the stage
-    nworkers = workers if workers is not None else worker_count()
-    # fan out only with at least two images per worker
-    if nworkers <= 1 or images.shape[0] < 2 * nworkers:
-        return _infer_chunk(model, images, skip)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(images.shape[0]), nworkers)
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        results = list(
-            pool.map(lambda ix: _infer_chunk(model, images[ix], skip), chunks)
-        )
-    logits = np.concatenate([r[0] for r in results], axis=0)
-    counters = OpsCounters()
-    for _, c in results:
-        counters.merge(c)
-    return logits, counters
 
 
 # float64 values per slice of windows in reference_forward (2 MB)

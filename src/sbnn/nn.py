@@ -191,8 +191,10 @@ def _conv_out_hw(h, w, stride, pad):
 
 
 def _im2col(x, stride, pad, pad_value):
-    """x (B, C, H, W) -> C-contiguous cols (B, C*9, P), rows in (c, ki, kj)
-    order and columns in output-pixel order, plus the output map (Ho, Wo)."""
+    """x (B, C, H, W) -> C-contiguous cols (C*9, B*P), rows in (c, ki, kj)
+    order and columns in (image, output pixel) order, plus the output map
+    (Ho, Wo). The one array training keeps per conv: the forward product
+    reads its transpose, the weight gradient reads it as it is."""
     b, c, h, w = x.shape
     ho, wo = _conv_out_hw(h, w, stride, pad)
     if pad:
@@ -201,8 +203,8 @@ def _im2col(x, stride, pad, pad_value):
     else:
         xp = x
     win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(b, c * 9, ho * wo), (ho, wo)
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * 9, b * ho * wo), (ho, wo)
 
 
 def _col2im(dwin, x_shape, stride, pad):
@@ -268,17 +270,16 @@ class Conv3x3(_WeightedLayer):
         cols, hw = _im2col(x, self.spec.stride, self.spec.padding, self.pad_value)
         wf = w_eff.reshape(self.spec.out_ch, -1)
         self._cache = (cols, wf, x.shape)
-        b, f, p = cols.shape
-        return _conv_apply(cols.transpose(0, 2, 1).reshape(b * p, f), wf, hw)
+        return _conv_apply(cols.T, wf, hw)
 
     def backward(self, grad_out, input_grad=True):
         """Accumulate the weight gradient; return the input gradient unless
         input_grad is False. The products are the ones the einsums
         "bop,bfp->of" and "of,bop->bfp" form, operands laid out alike."""
         cols, wf, x_shape = self._cache
-        b, f, p = cols.shape
-        g = grad_out.reshape(b, -1, p).transpose(0, 2, 1).reshape(b * p, -1)  # (B*P, O)
-        d_wf = (cols.transpose(1, 0, 2).reshape(f, b * p) @ g).T
+        b, o = x_shape[0], wf.shape[0]
+        g = grad_out.reshape(b, o, -1).transpose(0, 2, 1).reshape(-1, o)  # (B*P, O)
+        d_wf = (cols @ g).T
         self.backward_weight(d_wf.reshape(self.weight.value.shape))
         if not input_grad:
             return None
@@ -524,31 +525,6 @@ def softmax_cross_entropy(logits, labels):
     dlogits = probs.copy()
     dlogits[np.arange(b), labels] -= 1.0
     return float(nll.mean()), dlogits / b
-
-
-# ---------------------------------------------------------------------------
-# spec-level forward helpers for binary layers
-# ---------------------------------------------------------------------------
-
-def forward_binary_linear(x_signs, weight_signs):
-    """Pre-activations of a +-1 linear layer: y = W x, float reference path.
-    Sums of +-1 products are exact integers in float64, so the result is
-    bit-exact against integer arithmetic."""
-    w = np.asarray(weight_signs, dtype=np.float64)
-    x = np.asarray(x_signs, dtype=np.float64)
-    if w.shape[-1] != x.shape[-1]:
-        raise ValidationError("shape mismatch")
-    return x @ w.T
-
-
-def forward_binary_conv(x_signs, weight_signs, stride=1, padding=0):
-    """Pre-activations of a +-1 3x3 conv; padding uses the -1-valued halo."""
-    w = np.asarray(weight_signs, dtype=np.float64)
-    if w.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ValidationError("weights must be (out, in, 3, 3)")
-    x = np.asarray(x_signs, dtype=np.float64)
-    rows, hw = _window_rows(x, stride, padding, -1.0)
-    return _conv_apply(rows, w.reshape(w.shape[0], -1), hw)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import contextlib
 
 import numpy as np
 
-from sbnn import engine
-from sbnn.binquant import OmegaParams
+from sbnn import engine, nn
+from sbnn.binquant import OmegaParams, ValidationError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -158,6 +158,33 @@ def reference_kernel_payload(kind, bits):
         sum(bit << (7 - j) for j, bit in enumerate(stream[i : i + 8]))
         for i in range(0, len(stream), 8)
     )
+
+
+# ---------------------------------------------------------------------------
+# Spec-level forward of +-1 layers as float products. The conv gathers its
+# windows with nn._window_rows, which TestConvMatchesReference pins to the
+# fancy-index im2col below.
+# ---------------------------------------------------------------------------
+
+def forward_binary_linear(x_signs, weight_signs):
+    """Pre-activations of a +-1 linear layer: y = W x, float reference path.
+    Sums of +-1 products are exact integers in float64, so the result is
+    bit-exact against integer arithmetic."""
+    w = np.asarray(weight_signs, dtype=np.float64)
+    x = np.asarray(x_signs, dtype=np.float64)
+    if w.shape[-1] != x.shape[-1]:
+        raise ValidationError("shape mismatch")
+    return x @ w.T
+
+
+def forward_binary_conv(x_signs, weight_signs, stride=1, padding=0):
+    """Pre-activations of a +-1 3x3 conv; padding uses the -1-valued halo."""
+    w = np.asarray(weight_signs, dtype=np.float64)
+    if w.ndim != 4 or w.shape[2:] != (3, 3):
+        raise ValidationError("weights must be (out, in, 3, 3)")
+    x = np.asarray(x_signs, dtype=np.float64)
+    rows, hw = nn._window_rows(x, stride, padding, -1.0)
+    return nn._conv_apply(rows, w.reshape(w.shape[0], -1), hw)
 
 
 # ---------------------------------------------------------------------------

@@ -409,7 +409,7 @@ def _random_quantized_model(rng):
     h = hw - 2
     c = width
     nbin = int(rng.integers(1, 3))
-    for _ in range(nbin):
+    for k in range(nbin):
         out_c = int(rng.integers(2, 7))
         sparse_p = float(rng.uniform(0.02, 0.6))
         bits = (rng.random(size=(out_c, c * 9)) < sparse_p).astype(np.uint8)
@@ -427,7 +427,10 @@ def _random_quantized_model(rng):
             )
         )
         c, h = out_c, h - 2
-        if h >= 4 and h % 2 == 0 and bool(rng.integers(2)):
+        # no pool that would leave a later conv an empty output map: a
+        # model file with one does not load
+        fits = h // 2 - 2 * (nbin - 1 - k) >= 1
+        if h >= 4 and h % 2 == 0 and bool(rng.integers(2)) and fits:
             stages.append(engine.BitPool())
             h //= 2
     stages.append(

@@ -185,19 +185,6 @@ def test_stage_forward_peak_memory_below_one_int64_zprime():
     assert peak < 32 * 36864 * np.dtype(np.int64).itemsize
 
 
-@pytest.mark.parametrize("in_ch", [8, 65])
-def test_worker_fan_out_matches_serial(in_ch):
-    rng = np.random.default_rng(100 + in_ch)
-    model = _model(rng, in_ch, 1, 1, _mixed_kernels(rng, CONV_OUT, in_ch))
-    images = rng.normal(size=(9, 1, IMAGE_HW, IMAGE_HW))
-    serial, c1 = engine.infer(model, images, workers=1)
-    fanned, c4 = engine.infer(model, images, workers=4)
-    assert fanned.tobytes() == serial.tobytes()
-    assert (c4.images, c4.position_ops, c4.word_popcounts, c4.flops) == (
-        c1.images, c1.position_ops, c1.word_popcounts, c1.flops
-    )
-
-
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
 @pytest.mark.parametrize("words", [0, 1, 3])
 def test_and_popcount_matmat_matches_bit_arithmetic(dtype, words):

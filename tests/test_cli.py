@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import golden_model
-from sbnn import engine, modelio
+from sbnn import dataio, engine, modelio
 from sbnn.cli import main
 from sbnn.train import TrainReport, load_snapshot
 
@@ -134,25 +134,6 @@ class TestQuantizeEvalBenchInspect:
             ["eval", "--model", str(bad), "--synthetic", "--samples", "16"]
         )
         assert code == 3
-
-    @pytest.mark.parametrize("threads", ["two", "1.5", "0", "-1"])
-    def test_eval_malformed_threads_is_config_error(
-        self, trained_run, tmp_path, capsys, monkeypatch, threads
-    ):
-        model_path = tmp_path / "m.sbnn"
-        assert run_cli(
-            ["quantize", "--snapshot", str(trained_run / "snapshot.npz"),
-             "--out", str(model_path)]
-        ) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("SBNN_THREADS", threads)
-        code = run_cli(
-            ["eval", "--model", str(model_path), "--synthetic", "--samples", "16",
-             "--image-hw", "8", "--seed", "7"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "SBNN_THREADS" in err and threads in err
 
     def test_eval_nonfinite_images_is_data_error(self, trained_run, tmp_path, capsys):
         model_path = tmp_path / "m.sbnn"
@@ -326,6 +307,24 @@ class TestCraftedModelFiles:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_empty_conv_output_map(self, tmp_path, capsys, command):
+        """On 2x8 images the padded stem gives a (3, 2, 8) map, and the
+        unpadded binary conv's 3x3 window does not fit it: the model file is
+        rejected when it loads, before eval runs the engine."""
+        m = golden_model()
+        m.stages[1].packed.padding = 0
+        stages = m.stages[:2] + [engine.Head(weight=np.zeros((2, 0)), bias=np.zeros(2))]
+        path = tmp_path / "crafted.sbnn"
+        path.write_bytes(modelio.encode(engine.QuantizedModel(stages, (1, 2, 8), 2)))
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        dataio.write_idx_images(images, np.arange(4 * 16, dtype=np.uint8).reshape(4, 2, 8))
+        dataio.write_idx_labels(labels, np.array([0, 1, 0, 1]))
+        args = ["--idx-images", str(images), "--idx-labels", str(labels)]
+        assert run_cli([command, "--model", str(path)] + (args if command == "eval" else [])) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stage 1: conv window does not fit a (2, 8) map" in err
 
 
 class TestStageNames:

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -392,41 +391,6 @@ class TestEngineBitExactness:
         for run in (engine.infer, engine.reference_forward):
             with pytest.raises(ValidationError, match="input shape"):
                 run(model, images)
-
-    def test_threaded_inference_matches_serial(self):
-        rng = np.random.default_rng(21)
-        model = build_random_model(rng)
-        images = rng.normal(size=(16,) + tuple(model.input_shape))
-        serial, c1 = engine.infer(model, images, workers=1)
-        threaded, c2 = engine.infer(model, images, workers=4)
-        assert np.array_equal(serial, threaded)
-        assert c1.position_ops == c2.position_ops
-        assert c1.images == c2.images == 16
-
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SBNN_THREADS", "3")
-        rng = np.random.default_rng(23)
-        model = build_random_model(rng)
-        images = rng.normal(size=(12,) + tuple(model.input_shape))
-        env_run, _ = engine.infer(model, images)
-        serial, _ = engine.infer(model, images, workers=1)
-        assert np.array_equal(env_run, serial)
-        monkeypatch.setenv("SBNN_THREADS", "0")
-        with pytest.raises(ValidationError):
-            engine.infer(model, images)
-
-    @pytest.mark.parametrize("threads", ["two", "1.5", "-1", ""])
-    def test_thread_env_parse(self, monkeypatch, threads):
-        monkeypatch.setenv("SBNN_THREADS", threads)
-        if threads:
-            with pytest.raises(ValidationError, match="SBNN_THREADS"):
-                engine.worker_count()
-        else:
-            assert engine.worker_count() == 1
-
-    def test_thread_env_capped_at_cores(self, monkeypatch):
-        monkeypatch.setenv("SBNN_THREADS", str(64 * (os.cpu_count() or 1)))
-        assert engine.worker_count() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_images_rejected(self, bad):

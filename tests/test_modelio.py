@@ -325,8 +325,9 @@ class TestMalformedFiles:
         conv.packed.padding = 0
         with pytest.raises(modelio.ModelFileError, match="does not fit"):
             modelio.decode(self._file([conv], input_shape=(3, 1, 8)))
-        # a 2-wide map gives an empty output, which the format allows
-        modelio.decode(self._file([conv], input_shape=(3, 2, 8)))
+        # a 2-high map would give an empty output map
+        with pytest.raises(modelio.ModelFileError, match="does not fit"):
+            modelio.decode(self._file([conv], input_shape=(3, 2, 8)))
 
     def test_conv_padding_above_two(self):
         conv = golden_model().stages[1]

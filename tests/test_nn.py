@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from sbnn.binquant import ValidationError
 
 from helpers import (
     dense_sign_dot,
+    forward_binary_conv,
+    forward_binary_linear,
     reference_conv3x3_backward,
     reference_conv3x3_forward,
     reference_conv_forward,
@@ -52,12 +56,12 @@ class TestForwardBinaryLinear:
     def test_hand_example(self):
         w = np.array([[1, -1], [-1, -1]])
         x = np.array([[1, 1]])
-        assert nn.forward_binary_linear(x, w).tolist() == [[0, -2]]
+        assert forward_binary_linear(x, w).tolist() == [[0, -2]]
 
     def test_identity_pattern(self):
         w = np.eye(4) * 2 - 1  # +1 diagonal, -1 off: y_i = x_i - sum(x_j, j!=i)
         x = np.array([[1.0, -1.0, 1.0, 1.0]])
-        y = nn.forward_binary_linear(x, w)
+        y = forward_binary_linear(x, w)
         expect = [2 * x[0, i] - x.sum() for i in range(4)]
         assert y[0].tolist() == expect
 
@@ -67,20 +71,20 @@ class TestForwardBinaryLinear:
             o, i = int(rng.integers(1, 9)), int(rng.integers(1, 33))
             w = rng.choice([-1, 1], size=(o, i))
             x = rng.choice([-1, 1], size=(3, i))
-            got = nn.forward_binary_linear(x, w)
+            got = forward_binary_linear(x, w)
             expect = x.astype(np.int64) @ w.astype(np.int64).T
             assert np.array_equal(got, expect.astype(np.float64))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            nn.forward_binary_linear(np.ones((1, 3)), np.ones((2, 4)))
+            forward_binary_linear(np.ones((1, 3)), np.ones((2, 4)))
 
 
 class TestForwardBinaryConv:
     def test_all_ones_window(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        y = nn.forward_binary_conv(x, w)
+        y = forward_binary_conv(x, w)
         assert y.shape == (1, 1, 1, 1)
         assert y[0, 0, 0, 0] == 9.0
 
@@ -88,7 +92,7 @@ class TestForwardBinaryConv:
         rng = np.random.default_rng(8)
         x = rng.choice([-1, 1], size=(2, 2, 6, 6)).astype(np.float64)
         w = rng.choice([-1, 1], size=(3, 2, 3, 3)).astype(np.float64)
-        y = nn.forward_binary_conv(x, w)
+        y = forward_binary_conv(x, w)
         # direct 6-loop convolution
         b, co = 2, 3
         expect = np.zeros((b, co, 4, 4))
@@ -108,14 +112,14 @@ class TestForwardBinaryConv:
         # padding contributes -1-valued activations
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        y = nn.forward_binary_conv(x, w, padding=1)
+        y = forward_binary_conv(x, w, padding=1)
         assert y.shape == (1, 1, 3, 3)
         assert y[0, 0, 1, 1] == 9.0  # untouched center
         assert y[0, 0, 0, 0] == 4 - 5  # corner: 4 real ones, 5 halo -1s
 
     def test_bad_kernel_shape(self):
         with pytest.raises(ValidationError):
-            nn.forward_binary_conv(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)))
+            forward_binary_conv(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)))
 
 
 class TestLayers:
@@ -396,3 +400,20 @@ class TestConvMatchesReference:
         assert got_state.keys() == expect_state.keys()
         for name, value in expect_state.items():
             assert np.array_equal(got_state[name], value), name
+
+    def test_forward_holds_one_window_array(self):
+        """One forward of 64 images, 32 -> 32 channels, 12x12 input, no
+        padding, builds its (C*9, B*P) float64 window array once: the peak
+        stays below 1.5 of that array (14.7 MB), where a transposed copy of
+        it for the product would double it."""
+        spec = nn.LayerSpec("conv3x3", in_ch=32, out_ch=32)
+        layer = nn.Conv3x3(spec, np.random.default_rng(3))
+        x = np.random.default_rng(4).normal(size=(64, 32, 12, 12))
+        window_bytes = 32 * 9 * 64 * 10 * 10 * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            layer.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * window_bytes

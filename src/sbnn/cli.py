@@ -23,6 +23,7 @@ from .engine import BinStage, infer, reference_forward, walk_stages
 from .nn import Network, conv_net_spec, mlp_spec
 from .sparsity import binary_entropy
 from .train import (
+    SnapshotError,
     TrainConfig,
     TrainingDiverged,
     load_snapshot,
@@ -44,6 +45,7 @@ DATA_ERRORS = (
     dataio.BadMagic,
     dataio.CountMismatch,
     modelio.ModelFileError,
+    SnapshotError,
 )
 
 
@@ -115,16 +117,28 @@ def _apply_config_file(parser, argv):
                 raise ValidationError(f"{known.config}:{lineno}: expected KEY=VALUE")
             key, _, value = line.partition("=")
             defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        for act in action._actions:
-            if act.dest in defaults:
-                raw = defaults[act.dest]
-                if act.type is not None:
-                    act.default = act.type(raw)
-                elif isinstance(act.const, bool) or isinstance(act.default, bool):
-                    act.default = raw.lower() in ("1", "true", "yes")
-                else:
-                    act.default = raw
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    actions = [act for sub in subparsers for act in sub._actions if act.dest != "help"]
+    # config.txt also records the subcommand, which the command line names
+    unknown = defaults.keys() - {act.dest for act in actions} - {"command"}
+    if unknown:
+        raise ValidationError(f"{known.config}: no flag is named {sorted(unknown)[0]!r}")
+    for act in actions:
+        raw = defaults.get(act.dest, "None")
+        if raw == "None":  # config.txt writes an unset flag as None
+            continue
+        try:
+            if isinstance(act.const, bool):  # a store_true flag
+                if raw.lower() not in ("0", "1", "false", "true", "no", "yes"):
+                    raise ValueError(raw)
+                value = raw.lower() in ("1", "true", "yes")
+            else:
+                value = raw if act.type is None else act.type(raw)
+        except ValueError:
+            raise ValidationError(f"{known.config}: bad value {act.dest}={raw}") from None
+        if act.choices is not None and value not in act.choices:
+            raise ValidationError(f"{known.config}: {act.dest}={raw} is not one of {act.choices}")
+        act.default = value
     return argv
 
 

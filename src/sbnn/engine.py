@@ -16,12 +16,10 @@ channel words side by side (9 taps for a 3x3 conv, 1 for a linear stage),
 zero-padded to whole uint64 words, as (out, K). Each window's words are
 laid out the same way from the shifted (strided) input views, so z' is one
 AND+popcount over K uint64 words per (row, window) pair; padding is a halo
-of zero words (-1 activations). Skipping leaves out the uint64 word columns
-that are zero in every row. A word column spans many (channel, tap) weight
-positions of every row, so on the benchmark's trained and seeded models no
-column is all zero and skip on and skip off run the same words; the paper's
-op count still charges only Dense kernels. Skipping is exact: outputs are
-identical with it on or off.
+of zero words (-1 activations). Every stage runs all K words of every row,
+so a word costs the same whatever its weight ones: sparsity pays in binary
+ops and file size, not in wall time. Skipping changes only the counters,
+which then charge Dense kernels alone, as the paper counts them.
 
 A stage runs the AND+popcount, z', the remap and the threshold over slices of
 windows of at most STAGE_SLICE_VALUES (out, windows) values, into one uint8
@@ -162,9 +160,8 @@ class OpsCounters:
     position_ops follows the paper's 2-ops-per-weight-position convention
     (XNOR + accumulate): with skipping, 2 * 9 * K_dense per window of a conv
     stage, else 2 per weight per window. word_popcounts counts the uint64
-    AND+popcount word pairs executed, (out rows) x (windows) x (word columns
-    run); skipping removes only word columns that are zero in every row, so
-    it rarely shrinks. flops counts float operations (2 per MAC in
+    AND+popcount word pairs executed, (out rows) x (windows) x K, the same
+    with skipping on or off. flops counts float operations (2 per MAC in
     full-precision layers, 3 per remapped output, 1 per threshold compare).
     gather_ops is always 0: no stage gathers. It is kept only because
     perfbench/pipeline.py still reads it.
@@ -250,8 +247,7 @@ class BinStage:
     def _prepare(self):
         """Built lazily: the weights as tap-packed uint64 words, shape
         (out, K). Each row holds its taps' channel words side by side (9 taps
-        for a conv, 1 for a linear stage), zero-padded to whole uint64 words.
-        Also the word columns with a one-bit in some row (what skipping runs)
+        for a conv, 1 for a linear stage), zero-padded to whole uint64 words,
         and popcount(w) per row."""
         if getattr(self, "_words", None) is not None:
             return
@@ -262,7 +258,6 @@ class BinStage:
         words = np.zeros((p.out_ch, k * 8 // tap_words.itemsize), dtype=tap_words.dtype)
         words[:, : tap_words.shape[1]] = tap_words
         self._words = words.view(np.uint64)
-        self._kept = np.flatnonzero(self._words.any(axis=0))
         self._ones = p.bits.sum(axis=1, dtype=np.int64)
 
     @property
@@ -305,11 +300,6 @@ class BinStage:
         del windows  # before the slices allocate theirs
         q = 2 * _kernels.popcount_rows(win.T) - p.fan_in
 
-        # skipping leaves out the word columns that are zero in every row
-        w = self._words
-        if skip and self._kept.size < k:
-            w, win = w[:, self._kept], win[self._kept]
-
         # z' = 2 * popcount(x AND w) - popcount(w), the remap and the
         # threshold, one slice of windows at a time
         bits = np.empty((p.out_ch, nwin), dtype=np.uint8)
@@ -320,19 +310,17 @@ class BinStage:
             # 2-3x slower per value: a buffer no wider than a slice avoids it
             np.setbufsize(max(16, min(np.getbufsize(), step // 16 * 16)))
             for lo in range(0, nwin, step):
-                overlap = _kernels.and_popcount_matmat(w, win[:, lo : lo + step].T)
+                overlap = _kernels.and_popcount_matmat(self._words, win[:, lo : lo + step].T)
                 overlap *= 2
                 zprime = np.subtract(overlap, self._ones[:, None])
                 z = affine_remap(zprime, q[None, lo : lo + step], p.omega)
                 bits[:, lo : lo + step] = self.threshold.decide(z)
-        if skip and conv:
-            position_ops = 2 * 9 * p.kernel_counts[2] * nwin
-        else:
-            position_ops = 2 * p.weight_count * nwin
+        # the paper's count charges only Dense kernels; skip off charges every weight
+        counted = 9 * p.kernel_counts[2] if skip and conv else p.weight_count
         counters.add_layer(
             self.label,
-            position_ops=position_ops,
-            word_popcounts=p.out_ch * nwin * w.shape[1],
+            position_ops=2 * counted * nwin,
+            word_popcounts=p.out_ch * nwin * k,
             flops=int(3 * bits.size + bits.size),
         )
         out = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3) if conv else bits.T
@@ -479,8 +467,8 @@ def _batch(model, images):
 
 def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
     """Run the engine over a batch on the calling thread: (logits,
-    OpsCounters). `skip=False` forces the full popcount path (no kernel
-    skipping) for equivalence checks; outputs are identical either way.
+    OpsCounters). `skip` picks only the position_ops convention: Dense
+    kernels alone (True) or every weight (False); both run the same words.
     Images of another shape than the model's input, or holding NaN or
     infinite values, are rejected with a ValidationError.
 

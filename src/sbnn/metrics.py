@@ -163,17 +163,11 @@ def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsRepor
             p = stage.packed
             n = p.weight_count
             base = bops_baseline(n, pos)
-            if p.kind == "conv3x3":
-                k0, k1, kd = p.kernel_counts
-                counted = 2 * 9 * kd * pos
-                bits = bparams_bits(k0, k1, kd)
-                ktotal = k0 + k1 + kd
-            else:
-                k0 = k1 = 0
-                kd = 0
-                ktotal = 0
-                counted = base
-                bits = n
+            k0, k1, kd = p.kernel_counts  # (0, 0, 0) for a linear stage
+            ktotal = k0 + k1 + kd
+            conv = p.kind == "conv3x3"
+            counted = 2 * 9 * kd * pos if conv else base
+            bits = bparams_bits(k0, k1, kd) if conv else n
             ones = int(p.bits.sum())
             row = {
                 "layer": name,

@@ -34,7 +34,6 @@ bit count.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 
@@ -64,6 +63,15 @@ TAG_BIN_CONV = 3
 TAG_BIN_LINEAR = 4
 TAG_POOL = 5
 TAG_HEAD = 6
+
+# the weighted stage kinds: tag -> (binary, conv)
+WEIGHTED_TAGS = {
+    TAG_FLOAT_CONV: (False, True),
+    TAG_FLOAT_LINEAR: (False, False),
+    TAG_BIN_CONV: (True, True),
+    TAG_BIN_LINEAR: (True, False),
+}
+_TAG_OF = {kinds: tag for tag, kinds in WEIGHTED_TAGS.items()}
 
 
 class ModelFileError(ValidationError):
@@ -112,9 +120,6 @@ class _Cursor:
     def f64s(self, n) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
 
-    def i8s(self, n) -> np.ndarray:
-        return np.frombuffer(self.take(n), dtype=np.int8).copy()
-
 
 def kernel_payload_bits(packed: PackedLayer) -> int:
     """Bit length of the kernel-class payload, excluding byte padding."""
@@ -158,30 +163,22 @@ def encode(model: QuantizedModel) -> bytes:
     for dim in model.input_shape:
         body += struct.pack("<I", dim)
     for stage in model.stages:
-        if isinstance(stage, FloatStage):
-            if stage.kind == "conv3x3":
-                body.append(TAG_FLOAT_CONV)
-                body += struct.pack(
-                    "<IIII", stage.in_ch, stage.out_ch, stage.stride, stage.padding
-                )
+        if isinstance(stage, (FloatStage, BinStage)):
+            binary = isinstance(stage, BinStage)
+            layer = stage.packed if binary else stage
+            conv = layer.kind == "conv3x3"
+            body.append(_TAG_OF[binary, conv])
+            geometry = (layer.in_ch, layer.out_ch, layer.stride, layer.padding)
+            body += struct.pack("<IIII" if conv else "<II", *geometry[: 4 if conv else 2])
+            if binary:
+                body.append(1 if layer.omega.degenerate else 0)
+                body += struct.pack("<dd", layer.omega.tau, layer.omega.phi)
+                _emit_threshold(body, stage.threshold)
+                body += _encode_kernel_payload(layer)
             else:
-                body.append(TAG_FLOAT_LINEAR)
-                body += struct.pack("<II", stage.in_ch, stage.out_ch)
-            body.append(1 if stage.takes_bits else 0)
-            body += stage.weight.astype("<f8").tobytes()
-            _emit_threshold(body, stage.threshold)
-        elif isinstance(stage, BinStage):
-            p = stage.packed
-            if p.kind == "conv3x3":
-                body.append(TAG_BIN_CONV)
-                body += struct.pack("<IIII", p.in_ch, p.out_ch, p.stride, p.padding)
-            else:
-                body.append(TAG_BIN_LINEAR)
-                body += struct.pack("<II", p.in_ch, p.out_ch)
-            body.append(1 if p.omega.degenerate else 0)
-            body += struct.pack("<dd", p.omega.tau, p.omega.phi)
-            _emit_threshold(body, stage.threshold)
-            body += _encode_kernel_payload(p)
+                body.append(1 if layer.takes_bits else 0)
+                body += layer.weight.astype("<f8").tobytes()
+                _emit_threshold(body, stage.threshold)
         elif isinstance(stage, BitPool):
             body.append(TAG_POOL)
         elif isinstance(stage, Head):
@@ -201,18 +198,29 @@ def encode(model: QuantizedModel) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _read_threshold(cur: _Cursor, channels: int) -> FusedThreshold:
-    orientation = cur.i8s(channels)
-    theta = cur.f64s(channels)
-    return FusedThreshold(orientation=orientation, theta=theta)
+    raw = cur.take(channels)
+    if raw.translate(None, b"\x01\xff"):  # a byte other than +1 or -1
+        raise ModelFileError(f"threshold orientation other than +-1 before offset {cur.pos}")
+    orientation = np.frombuffer(raw, dtype=np.int8).copy()
+    return FusedThreshold(orientation=orientation, theta=cur.f64s(channels))
+
+
+def _take_bits(cur: _Cursor, nbits: int) -> np.ndarray:
+    """The next nbits bits, MSB-first, from whole bytes whose padding bits
+    are zero (as encode writes them)."""
+    raw = cur.take((nbits + 7) // 8)
+    if nbits % 8 and raw[-1] & (0xFF >> nbits % 8):
+        raise ModelFileError(f"nonzero padding bits at offset {cur.pos - 1}")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=nbits)
 
 
 def _decode_kernel_payload(cur: _Cursor, kind, out_ch, fan_in):
-    """{0,1} weights (out_ch, fan_in). Every array is sized only after the
-    bytes it is read from have been taken from the stream."""
+    """{0,1} weights (out_ch, fan_in) and the stream's (zero, single, dense)
+    kernel counts, (0, 0, 0) for a linear stage as PackedLayer has them.
+    Every array is sized only after the bytes it is read from have been
+    taken from the stream."""
     if kind != "conv3x3":
-        nbits = out_ch * fan_in
-        raw = np.frombuffer(cur.take((nbits + 7) // 8), dtype=np.uint8)
-        return np.unpackbits(raw, count=nbits).reshape(out_ch, fan_in)
+        return _take_bits(cur, out_ch * fan_in).reshape(out_ch, fan_in), (0, 0, 0)
     kernels = out_ch * (fan_in // 9)
     head = cur.data[cur.pos : cur.pos + (2 * kernels + 7) // 8]
     if 4 * len(head) < kernels:
@@ -225,16 +233,15 @@ def _decode_kernel_payload(cur: _Cursor, kind, out_ch, fan_in):
         raise ModelFileError(f"invalid kernel class code 0b11 at offset {cur.pos}")
     single = np.flatnonzero(tags == KERNEL_SINGLE)
     dense = np.flatnonzero(tags == KERNEL_DENSE)
-    nbits = 2 * kernels + 4 * single.size + 9 * dense.size
-    raw = np.frombuffer(cur.take((nbits + 7) // 8), dtype=np.uint8)
-    stream = np.unpackbits(raw, count=nbits)[2 * kernels :]
+    stream = _take_bits(cur, 2 * kernels + 4 * single.size + 9 * dense.size)[2 * kernels :]
     index = stream[: 4 * single.size].reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
     if (index > 8).any():
         raise ModelFileError(f"single-kernel index {index.max()} out of range 0..8")
     bits = np.zeros((kernels, 9), dtype=np.uint8)
     bits[single, index] = 1
     bits[dense] = stream[4 * single.size :].reshape(-1, 9)
-    return bits.reshape(out_ch, fan_in)
+    counts = (kernels - single.size - dense.size, single.size, dense.size)
+    return bits.reshape(out_ch, fan_in), counts
 
 
 def decode(data: bytes) -> QuantizedModel:
@@ -260,59 +267,36 @@ def decode(data: bytes) -> QuantizedModel:
     stages = []
     for _ in range(nstages):
         tag = cur.u8()
-        if tag in (TAG_FLOAT_CONV, TAG_FLOAT_LINEAR):
-            if tag == TAG_FLOAT_CONV:
-                in_ch, out_ch, stride, pad = (cur.u32() for _ in range(4))
-                wshape = (out_ch, in_ch, 3, 3)
-                kind = "conv3x3"
-            else:
-                in_ch, out_ch = cur.u32(), cur.u32()
-                stride, pad = 1, 0
-                wshape = (out_ch, in_ch)
-                kind = "linear"
-            takes_bits = bool(cur.u8())
-            weight = cur.f64s(math.prod(wshape)).reshape(wshape)
-            thr = _read_threshold(cur, out_ch)
-            stages.append(
-                FloatStage(
-                    kind=kind,
-                    in_ch=in_ch,
-                    out_ch=out_ch,
-                    stride=stride,
-                    padding=pad,
-                    weight=weight,
-                    threshold=thr,
-                    takes_bits=takes_bits,
-                )
+        if tag in WEIGHTED_TAGS:
+            binary, conv = WEIGHTED_TAGS[tag]
+            in_ch, out_ch, stride, pad = (
+                (cur.u32() for _ in range(4)) if conv else (cur.u32(), cur.u32(), 1, 0)
             )
-        elif tag in (TAG_BIN_CONV, TAG_BIN_LINEAR):
-            if tag == TAG_BIN_CONV:
-                in_ch, out_ch, stride, pad = (cur.u32() for _ in range(4))
-                fan_in = in_ch * 9
-                kind = "conv3x3"
+            kind = "conv3x3" if conv else "linear"
+            geometry = dict(kind=kind, in_ch=in_ch, out_ch=out_ch, stride=stride, padding=pad)
+            flag = cur.u8()  # takes_bits or degenerate
+            if flag > 1:
+                raise ModelFileError(f"flag byte {flag} at offset {cur.pos - 1}, expected 0 or 1")
+            fan_in = in_ch * (9 if conv else 1)
+            if binary:
+                tau, phi = struct.unpack("<dd", cur.take(16))
+                thr = _read_threshold(cur, out_ch)
+                bits, counts = _decode_kernel_payload(cur, kind, out_ch, fan_in)
+                omega = OmegaParams(tau=tau, phi=phi, degenerate=bool(flag))
+                try:
+                    packed = PackedLayer(**geometry, bits=bits, omega=omega)
+                except ValidationError as exc:  # a non-canonical domain
+                    raise ModelFileError(f"stage {len(stages)}: {exc}") from exc
+                if packed.kernel_counts != counts:
+                    raise ModelFileError(f"stage {len(stages)}: a Dense kernel with < 2 one-bits")
+                stages.append(BinStage(packed=packed, threshold=thr))
             else:
-                in_ch, out_ch = cur.u32(), cur.u32()
-                stride, pad = 1, 0
-                fan_in = in_ch
-                kind = "linear"
-            degenerate = bool(cur.u8())
-            tau, phi = struct.unpack("<dd", cur.take(16))
-            thr = _read_threshold(cur, out_ch)
-            bits = _decode_kernel_payload(cur, kind, out_ch, fan_in)
-            omega = OmegaParams(tau=tau, phi=phi, degenerate=degenerate)
-            try:
-                packed = PackedLayer(
-                    kind=kind,
-                    in_ch=in_ch,
-                    out_ch=out_ch,
-                    stride=stride,
-                    padding=pad,
-                    bits=bits,
-                    omega=omega,
+                wshape = (out_ch, in_ch, 3, 3) if conv else (out_ch, in_ch)
+                weight = cur.f64s(out_ch * fan_in).reshape(wshape)
+                thr = _read_threshold(cur, out_ch)
+                stages.append(
+                    FloatStage(**geometry, weight=weight, threshold=thr, takes_bits=bool(flag))
                 )
-            except ValidationError as exc:  # a non-canonical domain
-                raise ModelFileError(f"stage {len(stages)}: {exc}") from exc
-            stages.append(BinStage(packed=packed, threshold=thr))
         elif tag == TAG_POOL:
             stages.append(BitPool())
         elif tag == TAG_HEAD:

@@ -56,10 +56,16 @@ class LayerSpec:
     def __post_init__(self):
         if self.omega_mode not in OMEGA_MODES:
             raise ValidationError(f"unknown omega mode {self.omega_mode!r}")
+        if self.bias and self.kind != "classifier":
+            # only the head keeps a bias: the engine's conv and linear stages have none
+            raise ValidationError(f"{self.kind}: only the classifier takes a bias")
         if self.kind == "conv3x3" and not 0 <= self.padding <= MAX_CONV_PADDING:
             raise ValidationError(
                 f"conv padding {self.padding} outside [0, {MAX_CONV_PADDING}]"
             )
+        sizes = (self.in_ch, self.out_ch, self.stride, self.padding)
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in sizes):
+            raise ValidationError(f"{self.kind}: sizes {sizes} are not non-negative integers")
 
     @property
     def weight_count(self) -> int:

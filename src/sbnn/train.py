@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,6 +50,10 @@ from .sparsity import inverse_binary_entropy, lambda_update, penalty_j
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; aborted with diagnostics."""
+
+
+class SnapshotError(ValidationError):
+    """A snapshot file that does not hold the network its spec declares."""
 
 
 @dataclass
@@ -252,31 +257,50 @@ class Snapshot:
         return h.hexdigest()[:12]
 
 
-def take_snapshot(network: Network, cfg: TrainConfig, input_shape, classes) -> Snapshot:
-    params = {name: p.value.copy() for name, p in network.params()}
+def _network_arrays(network: Network):
+    """(params, buffers): the network's live parameter and batchnorm
+    running-statistics arrays under their snapshot names."""
+    params = {name: p.value for name, p in network.params()}
     buffers = {}
     for i, layer in enumerate(network.layers):
         if isinstance(layer, BatchNorm):
-            buffers[f"{i}.running_mean"] = layer.running_mean.copy()
-            buffers[f"{i}.running_var"] = layer.running_var.copy()
-    return Snapshot(
-        spec=network.spec,
-        cfg=cfg,
-        input_shape=tuple(input_shape),
-        classes=classes,
-        params=params,
-        buffers=buffers,
+            buffers[f"{i}.running_mean"] = layer.running_mean
+            buffers[f"{i}.running_var"] = layer.running_var
+    return params, buffers
+
+
+def take_snapshot(network: Network, cfg: TrainConfig, input_shape, classes) -> Snapshot:
+    params, buffers = (
+        {k: v.copy() for k, v in arrays.items()} for arrays in _network_arrays(network)
     )
+    return Snapshot(network.spec, cfg, tuple(input_shape), classes, params, buffers)
 
 
 def restore_network(snap: Snapshot) -> Network:
-    net = Network(snap.spec, np.random.default_rng(0))
-    for name, p in net.params():
-        p.value[...] = snap.params[name]
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, BatchNorm):
-            layer.running_mean[...] = snap.buffers[f"{i}.running_mean"]
-            layer.running_var[...] = snap.buffers[f"{i}.running_var"]
+    """The network the snapshot's spec declares, holding the stored values.
+    Raises a SnapshotError unless the snapshot stores exactly the float64
+    arrays, of exactly the shapes, that the spec declares."""
+    # Network(spec) allocates a few values per weight, or per channel of a layer
+    # without weights: this bounds what a crafted spec can make it allocate
+    declared = sum(max(ls.weight_count, ls.out_ch) for ls in snap.spec)
+    stored = sum(a.size for a in (*snap.params.values(), *snap.buffers.values()))
+    if declared > stored:
+        raise SnapshotError(f"spec declares {declared} values, snapshot stores {stored}")
+    try:
+        net = Network(snap.spec, np.random.default_rng(0))
+    except ValidationError as exc:
+        raise SnapshotError(f"snapshot spec: {exc}") from exc
+    for prefix, have, want in zip(("p:", "b:"), (snap.params, snap.buffers), _network_arrays(net)):
+        if have.keys() != want.keys():
+            names = sorted(prefix + k for k in have.keys() ^ want.keys())
+            raise SnapshotError(f"snapshot arrays {', '.join(names)} do not match its spec")
+        for name, target in want.items():
+            if have[name].shape != target.shape or have[name].dtype != np.float64:
+                raise SnapshotError(
+                    f"snapshot array {prefix}{name} is {have[name].dtype} {have[name].shape}, "
+                    f"its spec declares float64 {target.shape}"
+                )
+            target[...] = have[name]
     return net
 
 
@@ -294,24 +318,27 @@ def save_snapshot(path, snap: Snapshot):
 
 
 def load_snapshot(path) -> Snapshot:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["__meta__"]).decode())
-        params = {k[2:]: z[k] for k in z.files if k.startswith("p:")}
-        buffers = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
-    spec = tuple(LayerSpec(**d) for d in meta["spec"])
-    # written by older versions: mixup_alpha was never used, and no caller
-    # changed the Adam constants or switched the cosine schedule off
-    for key in ("mixup_alpha", "adam_beta1", "adam_beta2", "adam_eps", "cosine_lr"):
-        meta["cfg"].pop(key, None)
-    cfg = TrainConfig(**meta["cfg"])
-    return Snapshot(
-        spec=spec,
-        cfg=cfg,
-        input_shape=tuple(meta["input_shape"]),
-        classes=meta["classes"],
-        params=params,
-        buffers=buffers,
-    )
+    """Read a snapshot written by save_snapshot. Raises a SnapshotError for a
+    file that is not one: not an npz, no readable __meta__, or a spec or
+    config that does not construct (restore_network checks the arrays)."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as z:
+            meta = json.loads(bytes(z["__meta__"]).decode())
+            params = {k[2:]: z[k] for k in z.files if k.startswith("p:")}
+            buffers = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
+        spec = tuple(LayerSpec(**d) for d in meta["spec"])
+        # written by older versions: mixup_alpha was never used, and no caller
+        # changed the Adam constants or switched the cosine schedule off
+        for key in ("mixup_alpha", "adam_beta1", "adam_beta2", "adam_eps", "cosine_lr"):
+            meta["cfg"].pop(key, None)
+        cfg = TrainConfig(**meta["cfg"])
+        input_shape, classes = tuple(meta["input_shape"]), meta["classes"]
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise SnapshotError(f"{path}: not a readable snapshot ({exc})") from exc
+    dims = (*input_shape, classes)
+    if not all(isinstance(d, int) and d > 0 for d in dims):
+        raise SnapshotError(f"{path}: input shape and classes {dims} are not positive integers")
+    return Snapshot(spec, cfg, input_shape, classes, params, buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +363,7 @@ def _layer_omega_and_bits(layer: _WeightedLayer, mode: str):
             om = OmegaParams(tau=0.0, phi=om.phi, degenerate=True)
     else:
         raise ValidationError(f"unknown quantization mode {mode!r}")
-    om, bits = canonicalize_with_bits(om, bits)
-    return om, bits
+    return canonicalize_with_bits(om, bits)
 
 
 def quantize_network(network: Network, input_shape, classes, mode=None) -> QuantizedModel:
@@ -371,34 +397,19 @@ def quantize_network(network: Network, input_shape, classes, mode=None) -> Quant
             thr = FusedThreshold.from_batchnorm(
                 bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var, bn.eps
             )
+            geometry = {
+                k: getattr(spec, k) for k in ("kind", "in_ch", "out_ch", "stride", "padding")
+            }
             if spec.binarized:
                 if first_real:
                     raise ValidationError("first layer cannot be binarized")
-                lmode = mode or spec.omega_mode
-                om, bits = _layer_omega_and_bits(layer, lmode)
-                packed = PackedLayer(
-                    kind=spec.kind if spec.kind != "classifier" else "linear",
-                    in_ch=spec.in_ch,
-                    out_ch=spec.out_ch,
-                    stride=spec.stride,
-                    padding=spec.padding,
-                    bits=bits.reshape(spec.out_ch, -1),
-                    omega=om,
-                )
-                stages.append(BinStage(packed=packed, threshold=thr))
+                om, bits = _layer_omega_and_bits(layer, mode or spec.omega_mode)
+                packed = PackedLayer(**geometry, bits=bits.reshape(spec.out_ch, -1), omega=om)
+                stage = BinStage(packed=packed, threshold=thr)
             else:
-                stages.append(
-                    FloatStage(
-                        kind=spec.kind,
-                        in_ch=spec.in_ch,
-                        out_ch=spec.out_ch,
-                        stride=spec.stride,
-                        padding=spec.padding,
-                        weight=layer.weight.value.copy(),
-                        threshold=thr,
-                        takes_bits=not first_real,
-                    )
-                )
+                w = layer.weight.value.copy()
+                stage = FloatStage(**geometry, weight=w, threshold=thr, takes_bits=not first_real)
+            stages.append(stage)
             first_real = False
             i += 3
             continue

@@ -102,7 +102,10 @@ def _check_against_reference(model, images):
     assert on.tobytes() == ref.tobytes()
     assert off.tobytes() == ref.tobytes()
     assert metrics.counters_match_report(c_on, report)
-    assert c_on.word_popcounts <= c_off.word_popcounts
+    n = images.shape[0]
+    assert c_on.flops == c_off.flops == report.totals["flops"] * n
+    assert c_off.position_ops == report.totals["bops_bnn"] * n
+    assert c_on.word_popcounts == c_off.word_popcounts
     assert c_on.gather_ops == c_off.gather_ops == 0
     return c_on, c_off
 
@@ -130,7 +133,10 @@ def test_all_zero_layer_matches_reference(in_ch):
     images = rng.normal(size=(4, 1, IMAGE_HW, IMAGE_HW))
     c_on, _ = _check_against_reference(model, images)
     conv = c_on.per_layer[1]
-    assert conv["word_popcounts"] == 0 and conv["position_ops"] == 0
+    # every row runs all K words of each of the 4 * 7 * 7 windows
+    nbytes, nwords = WORDS[in_ch]
+    k = -(-9 * nbytes * nwords // 8)
+    assert conv["word_popcounts"] == CONV_OUT * 4 * 7 * 7 * k and conv["position_ops"] == 0
 
 
 def _counts(counters):

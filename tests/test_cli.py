@@ -1,5 +1,7 @@
+import json
 import re
 import struct
+import tracemalloc
 import subprocess
 import sys
 import zlib
@@ -327,6 +329,104 @@ class TestCraftedModelFiles:
         assert err.count("\n") == 1 and "stage 1: conv window does not fit a (2, 8) map" in err
 
 
+def _edit_snapshot(src, dst, edit):
+    """Write src's arrays to dst after edit(meta, arrays) changes them."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta, arrays)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _weight_of_one(meta, arrays):
+    arrays["p:3.weight"] = np.ones(1)
+
+
+def _weight_transposed(meta, arrays):
+    arrays["p:3.weight"] = np.ascontiguousarray(arrays["p:3.weight"].swapaxes(0, 1))
+
+
+def _weight_float32(meta, arrays):
+    arrays["p:3.weight"] = arrays["p:3.weight"].astype(np.float32)
+
+
+def _missing_buffer(meta, arrays):
+    del arrays["b:4.running_var"]
+
+
+def _wide_conv(meta, arrays):
+    # 512 x 512 x 9 weights: 38 MB with gradients if the network were built
+    meta["spec"][3].update(in_ch=512, out_ch=512)
+
+
+def _negative_classes(meta, arrays):
+    meta["classes"] = -1
+
+
+def _unknown_cfg_key(meta, arrays):
+    meta["cfg"]["epoch"] = 1
+
+
+class TestCraftedSnapshots:
+    """Snapshot files that are not what their spec declares are data errors:
+    exit 3 with a one-line message, no traceback, and nothing allocated for
+    the declared network before the check."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_weight_of_one, "spec declares 984 values, snapshot stores 759"),
+            (_weight_transposed, "p:3.weight is float64 (4, 8, 3, 3), its spec declares float64"),
+            (_weight_float32, "p:3.weight is float32 (8, 4, 3, 3), its spec declares float64"),
+            (_missing_buffer, "b:4.running_var do not match its spec"),
+            (_wide_conv, "spec declares"),
+            (_negative_classes, "are not positive integers"),
+            (_unknown_cfg_key, "not a readable snapshot"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["quantize", "inspect"])
+    def test_edited_snapshot(self, trained_run, tmp_path, capsys, edit, message, command):
+        path = tmp_path / "crafted.npz"
+        _edit_snapshot(trained_run / "snapshot.npz", path, edit)
+        args = ["--out", str(tmp_path / "m.sbnn")] if command == "quantize" else []
+        tracemalloc.start()
+        try:
+            code = run_cli([command, "--snapshot", str(path)] + args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize(
+        "data",
+        [bytes(range(256)) * 4, b"", b"PK\x03\x04" + bytes(60)],
+        ids=["random", "empty", "broken-zip"],
+    )
+    @pytest.mark.parametrize("command", ["quantize", "inspect"])
+    def test_not_a_snapshot(self, tmp_path, capsys, data, command):
+        path = tmp_path / "crafted.npz"
+        path.write_bytes(data)
+        args = ["--out", str(tmp_path / "m.sbnn")] if command == "quantize" else []
+        assert run_cli([command, "--snapshot", str(path)] + args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a readable snapshot" in err
+
+    @pytest.mark.parametrize("command", ["quantize", "inspect"])
+    def test_npz_without_meta(self, tmp_path, capsys, command):
+        path = tmp_path / "crafted.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{"p:0.weight": np.ones((2, 1, 3, 3))})
+        args = ["--out", str(tmp_path / "m.sbnn")] if command == "quantize" else []
+        assert run_cli([command, "--snapshot", str(path)] + args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "__meta__" in err
+
+
 class TestStageNames:
     """The engine's one stage walk gives every stage's shape and its name,
     s{index}_{label}, and each per-stage output uses that name."""
@@ -430,6 +530,40 @@ class TestConfigFile:
         printed = capsys.readouterr().out
         assert "# resolved config" in printed
         assert "seed=3" in printed
+
+
+    def test_config_txt_reproduces_the_run(self, tmp_path, capsys):
+        """A run's config.txt, unset flags (None) and the subcommand included,
+        reproduces its report.jsonl byte for byte."""
+        r1, r2 = tmp_path / "r1", tmp_path / "r2"
+        assert run_cli(
+            ["train", "--synthetic", "--samples", "48", "--epochs", "2",
+             "--seed", "5", "--width", "4", "--augment", "--out", str(r1)]
+        ) == 0
+        text = (r1 / "config.txt").read_text()
+        assert "command=train" in text and "sparsity=None" in text
+        assert run_cli(["--config", str(r1 / "config.txt"), "train", "--out", str(r2)]) == 0
+        assert (r2 / "report.jsonl").read_bytes() == (r1 / "report.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epoch=1", "no flag is named 'epoch'"),
+            ("epochs=abc", "bad value epochs=abc"),
+            ("augment=maybe", "bad value augment=maybe"),
+            ("arch=bogus", "arch=bogus is not one of"),
+        ],
+    )
+    def test_bad_config_line_is_config_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = run_cli(
+            ["--config", str(cfg), "train", "--synthetic", "--samples", "32",
+             "--epochs", "1", "--width", "4", "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -354,7 +354,8 @@ class TestEngineBitExactness:
         x = np.random.default_rng(0).integers(0, 2, size=(3, 2, 5, 5)).astype(np.uint8)
         out, zprime, q, _ = forward_preacts(stage, x, counters, skip=True)
         assert zprime.shape == (4, 3 * 3 * 3) and np.all(zprime == 0)
-        assert counters.word_popcounts == 0
+        # 4 rows x 27 windows x K = 2 words (9 taps of one byte each)
+        assert counters.word_popcounts == 4 * 27 * 2
         assert counters.position_ops == 0
         # output decided purely by the alpha * q path
         z = engine.affine_remap(np.zeros_like(q), q, om)

@@ -156,6 +156,10 @@ class TestOpsReport:
         rep = metrics.build_ops_report(model)
         _, counters = engine.infer(model, ds.images)
         assert metrics.counters_match_report(counters, rep)
+        _, c_off = engine.infer(model, ds.images, skip=False)
+        n = ds.count
+        assert counters.flops == c_off.flops == rep.totals["flops"] * n
+        assert c_off.position_ops == rep.totals["bops_bnn"] * n
 
     def test_text_report_renders(self):
         model, _ = self._model()

@@ -239,7 +239,7 @@ def _payload_round_trip(layer):
     """(payload bits MSB-first, decoded weights) of one layer's payload."""
     payload = modelio._encode_kernel_payload(layer)
     cur = modelio._Cursor(payload)
-    back = modelio._decode_kernel_payload(cur, layer.kind, layer.out_ch, layer.fan_in)
+    back, _ = modelio._decode_kernel_payload(cur, layer.kind, layer.out_ch, layer.fan_in)
     assert cur.pos == len(payload)
     return np.unpackbits(np.frombuffer(payload, dtype=np.uint8)), back
 
@@ -342,3 +342,26 @@ class TestMalformedFiles:
         conv.packed.stride = 0
         with pytest.raises(modelio.ModelFileError, match="stride 0"):
             modelio.decode(self._file([conv]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_bit_edits_fail_or_re_encode(self, seed):
+        """Every file that loads re-encodes to itself: a single-bit edit of
+        the golden file (with its crc fixed up) either raises a
+        ModelFileError or decodes to a model whose encoding is the edited
+        file. Edits that must raise include flag bytes above 1, threshold
+        orientations other than +-1, nonzero payload padding bits and a
+        Dense class code on a kernel with fewer than 2 one-bits."""
+        golden = modelio.encode(golden_model())
+        rng = np.random.default_rng(seed)
+        loaded = 0
+        for bit in rng.integers(0, 8 * (len(golden) - 4), size=1000):
+            data = bytearray(golden)
+            data[bit // 8] ^= 0x80 >> bit % 8
+            data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
+            try:
+                model = modelio.decode(bytes(data))
+            except modelio.ModelFileError:
+                continue
+            loaded += 1
+            assert modelio.encode(model) == bytes(data), f"bit {bit}"
+        assert loaded > 500  # most edits change a float or a weight bit

@@ -172,6 +172,19 @@ class TestLayers:
             with pytest.raises(ValidationError, match="conv padding"):
                 nn.LayerSpec("conv3x3", in_ch=1, out_ch=1, padding=padding)
 
+    @pytest.mark.parametrize("kind", ["conv3x3", "linear"])
+    def test_bias_only_on_the_classifier(self, kind):
+        """Conv3x3 would ignore a bias and quantization would drop one before
+        batchnorm, so only the classifier may declare it."""
+        with pytest.raises(ValidationError, match="only the classifier takes a bias"):
+            nn.LayerSpec(kind, in_ch=2, out_ch=3, bias=True)
+        nn.LayerSpec("classifier", in_ch=2, out_ch=3, bias=True)
+
+    @pytest.mark.parametrize("sizes", [dict(in_ch=-1), dict(out_ch=2.0), dict(stride="1")])
+    def test_sizes_are_non_negative_integers(self, sizes):
+        with pytest.raises(ValidationError, match="not non-negative integers"):
+            nn.LayerSpec("linear", **{"in_ch": 2, "out_ch": 3, **sizes})
+
     def test_conv_weight_counts(self):
         spec = nn.LayerSpec("conv3x3", in_ch=4, out_ch=8)
         assert spec.weight_count == 8 * 4 * 9

@@ -107,16 +107,20 @@ def _apply_config_file(parser, argv):
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return argv
+    try:
+        with open(known.config, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a bad --config is a configuration error
+        raise ValidationError(f"--config {known.config}: {exc}") from None
     defaults = {}
-    with open(known.config) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{known.config}:{lineno}: expected KEY=VALUE")
-            key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{known.config}:{lineno}: expected KEY=VALUE")
+        key, _, value = line.partition("=")
+        defaults[key.strip().replace("-", "_")] = value.strip()
     subparsers = parser._subparsers._group_actions[0].choices.values()
     actions = [act for sub in subparsers for act in sub._actions if act.dest != "help"]
     # config.txt also records the subcommand, which the command line names
@@ -327,7 +331,7 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValidationError as exc:

@@ -414,17 +414,22 @@ def walk_stages(stages, input_shape):
     ValidationError unless every stage takes the shape the stage before it
     gives: a conv its channel count and a window that fits its (padded) map,
     a pool an even-sized map, a linear stage or the head its flattened
-    feature count."""
+    feature count. A weighted stage or the head with no inputs or no
+    outputs is rejected too."""
     shape, walked = tuple(input_shape), []
     for i, stage in enumerate(stages):
-        layer = stage.packed if isinstance(stage, BinStage) else stage
         if isinstance(stage, BitPool):
             if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
                 raise ValidationError(f"stage {i}: pool needs an even-sized map, gets {shape}")
             shape = (shape[0], shape[1] // 2, shape[2] // 2)
-        elif isinstance(stage, Head) or layer.kind == "linear":
-            head = isinstance(stage, Head)
-            out_ch, in_ch = stage.weight.shape if head else (layer.out_ch, layer.in_ch)
+            walked.append((f"s{i}_{stage.label}", shape))
+            continue
+        head = isinstance(stage, Head)
+        layer = stage.packed if isinstance(stage, BinStage) else stage
+        out_ch, in_ch = stage.weight.shape if head else (layer.out_ch, layer.in_ch)
+        if min(out_ch, in_ch) < 1:
+            raise ValidationError(f"stage {i}: {in_ch} inputs and {out_ch} outputs")
+        if head or layer.kind == "linear":
             if math.prod(shape) != in_ch:
                 raise ValidationError(
                     f"stage {i}: input width {in_ch}, gets {math.prod(shape)} features"

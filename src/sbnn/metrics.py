@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,24 +62,27 @@ def bops_pruning_ratio(counted: float, baseline: float) -> float:
     return 1.0 - counted / baseline
 
 
-def kernel_hamming_fractions(packed_layer) -> np.ndarray:
-    """Fractions of the layer's 3x3 kernels at each Hamming weight 0..9."""
-    if packed_layer.kernel_tags is None:
-        raise ValidationError("layer has no 3x3 kernels")
-    hw = packed_layer.bits.reshape(-1, 9).sum(axis=1, dtype=np.int64)
-    hist = np.bincount(hw, minlength=10)
-    return hist / hist.sum()
+def kernel_payload_bits(packed) -> int:
+    """Compressed bit cost of a binary stage's weights, which is also the
+    bit length of its model-file payload without byte padding: bparams_bits
+    of its kernel classes for a 3x3 conv, one bit per weight for a linear
+    stage."""
+    if packed.kind != "conv3x3":
+        return packed.bits.size
+    return bparams_bits(*packed.kernel_counts)
 
 
 def hamming_histogram(model: QuantizedModel):
-    """Per-binarized-conv-stage Hamming-weight fractions, as a list of
-    (stage_name, fractions[10])."""
+    """Per-binarized-conv-stage fractions of the 3x3 kernels at each
+    Hamming weight 0..9, as a list of (stage_name, fractions[10])."""
     walked = walk_stages(model.stages, model.input_shape)
-    return [
-        (name, kernel_hamming_fractions(stage.packed))
-        for stage, (name, _) in zip(model.stages, walked)
-        if isinstance(stage, BinStage) and stage.packed.kind == "conv3x3"
-    ]
+    out = []
+    for stage, (name, _) in zip(model.stages, walked):
+        if isinstance(stage, BinStage) and stage.packed.kind == "conv3x3":
+            weights = stage.packed.bits.reshape(-1, 9).sum(axis=1, dtype=np.int64)
+            hist = np.bincount(weights, minlength=10)
+            out.append((name, hist / hist.sum()))
+    return out
 
 
 def histograms_csv(model: QuantizedModel) -> str:
@@ -140,91 +144,62 @@ class OpsReport:
         return "\n".join(lines) + "\n"
 
 
+def _columns(c: dict) -> dict:
+    """The report's columns of a binary stage's counts (n weights, `ones`
+    of them 1-bits, `bits` compressed bits, k0/k1/kd kernels of each class)
+    or of their sums over the model, a Counter that reads 0 without any."""
+    ktotal = c["k0"] + c["k1"] + c["kd"]
+    ones_frac = c["ones"] / c["n"] if c["n"] else 0.0
+    return {
+        "bops_bnn": c["bops_bnn"],
+        "bops_sbnn": c["bops_sbnn"],
+        "bops_pr": bops_pruning_ratio(c["bops_sbnn"], c["bops_bnn"]) if c["bops_bnn"] else 0.0,
+        "flops": c["flops"],
+        "K0": c["k0"] / ktotal if ktotal else 0.0,
+        "K1": c["k1"] / ktotal if ktotal else 0.0,
+        "Kdense": c["kd"] / ktotal if ktotal else 0.0,
+        "bparams_bits": c["bits"],
+        "bparams_pr": 1.0 - c["bits"] / c["n"] if c["n"] else 0.0,
+        "ones_frac": ones_frac,
+        "entropy": binary_entropy(ones_frac),
+    }
+
+
 def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsReport:
     """Static per-image accounting from the model structure alone. The
     engine's runtime counters reproduce the same numbers (the acceptance
     suite cross-checks them)."""
     report = OpsReport()
-    tot = {
-        "bops_bnn": 0,
-        "bops_sbnn": 0,
-        "flops": 0,
-        "bparams_bits": 0,
-        "bparams_raw_bits": 0,
-        "k0": 0,
-        "k1": 0,
-        "kd": 0,
-        "ones": 0,
-        "n_bits": 0,
-    }
+    total = Counter()
     for stage, (name, shape) in zip(model.stages, walk_stages(model.stages, model.input_shape)):
         c, pos = shape[0], math.prod(shape[1:])  # output channels, positions
         if isinstance(stage, BinStage):
             p = stage.packed
-            n = p.weight_count
-            base = bops_baseline(n, pos)
             k0, k1, kd = p.kernel_counts  # (0, 0, 0) for a linear stage
-            ktotal = k0 + k1 + kd
-            conv = p.kind == "conv3x3"
-            counted = 2 * 9 * kd * pos if conv else base
-            bits = bparams_bits(k0, k1, kd) if conv else n
-            ones = int(p.bits.sum())
-            row = {
-                "layer": name,
+            base = bops_baseline(p.weight_count, pos)
+            counts = {
                 "bops_bnn": base,
-                "bops_sbnn": counted,
-                "bops_pr": bops_pruning_ratio(counted, base),
+                "bops_sbnn": 2 * 9 * kd * pos if p.kind == "conv3x3" else base,
                 "flops": 4 * c * pos,
-                "K0": k0 / ktotal if ktotal else 0.0,
-                "K1": k1 / ktotal if ktotal else 0.0,
-                "Kdense": kd / ktotal if ktotal else 0.0,
-                "bparams_bits": bits,
-                "bparams_pr": 1.0 - bits / n,
-                "ones_frac": ones / n,
-                "entropy": binary_entropy(ones / n),
+                "k0": k0,
+                "k1": k1,
+                "kd": kd,
+                "bits": kernel_payload_bits(p),
+                "n": p.weight_count,
+                "ones": int(p.bits.sum()),
             }
-            report.layers.append(row)
-            tot["bops_bnn"] += base
-            tot["bops_sbnn"] += counted
-            tot["flops"] += row["flops"]
-            tot["bparams_bits"] += bits
-            tot["bparams_raw_bits"] += n
-            tot["k0"] += k0
-            tot["k1"] += k1
-            tot["kd"] += kd
-            tot["ones"] += ones
-            tot["n_bits"] += n
-        elif isinstance(stage, FloatStage):
-            macs = stage.weight.size * pos
-            report.layers.append(
-                {"layer": name, "flops": 2 * macs + c * pos}
-            )
-            tot["flops"] += 2 * macs + c * pos
-        elif isinstance(stage, Head):
-            macs = stage.weight.size
-            report.layers.append({"layer": name, "flops": 2 * macs})
-            tot["flops"] += 2 * macs
-    ktotal = tot["k0"] + tot["k1"] + tot["kd"]
-    report.totals = {
-        "bops_bnn": tot["bops_bnn"],
-        "bops_sbnn": tot["bops_sbnn"],
-        "bops_pr": bops_pruning_ratio(tot["bops_sbnn"], tot["bops_bnn"])
-        if tot["bops_bnn"]
-        else 0.0,
-        "flops": tot["flops"],
-        "ops_total": ops_total(tot["bops_sbnn"], tot["flops"]),
-        "K0": tot["k0"] / ktotal if ktotal else 0.0,
-        "K1": tot["k1"] / ktotal if ktotal else 0.0,
-        "Kdense": tot["kd"] / ktotal if ktotal else 0.0,
-        "bparams_bits": tot["bparams_bits"],
-        "bparams_pr": 1.0 - tot["bparams_bits"] / tot["bparams_raw_bits"]
-        if tot["bparams_raw_bits"]
-        else 0.0,
-        "ones_frac": tot["ones"] / tot["n_bits"] if tot["n_bits"] else 0.0,
-        "entropy": binary_entropy(tot["ones"] / tot["n_bits"]) if tot["n_bits"] else 0.0,
-    }
-    achieved_ec = report.totals["ones_frac"]
-    use_ec = ec if ec is not None else achieved_ec
+            row = _columns(counts)
+        elif isinstance(stage, (FloatStage, Head)):
+            # 2 per MAC, and a float stage's threshold compare per output
+            compares = c * pos if isinstance(stage, FloatStage) else 0
+            counts = row = {"flops": 2 * stage.weight.size * pos + compares}
+        else:  # a pool: no row
+            continue
+        report.layers.append({"layer": name, **row})
+        total.update(counts)
+    report.totals = _columns(total)
+    report.totals["ops_total"] = ops_total(total["bops_sbnn"], total["flops"])
+    use_ec = ec if ec is not None else report.totals["ones_frac"]
     if use_ec and use_ec > 0:
         report.totals["ec"] = use_ec
         report.totals["gain_2_over_ec"] = gain_estimate(use_ec)

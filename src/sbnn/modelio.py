@@ -52,7 +52,7 @@ from .engine import (
     QuantizedModel,
     walk_stages,
 )
-from .metrics import bparams_bits
+from .metrics import kernel_payload_bits
 
 MAGIC = b"SBNN"
 VERSION = 1
@@ -119,13 +119,6 @@ class _Cursor:
 
     def f64s(self, n) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
-
-
-def kernel_payload_bits(packed: PackedLayer) -> int:
-    """Bit length of the kernel-class payload, excluding byte padding."""
-    if packed.kind != "conv3x3":
-        return packed.bits.size
-    return bparams_bits(*packed.kernel_counts)
 
 
 def payload_bits(model: QuantizedModel) -> int:
@@ -314,6 +307,8 @@ def decode(data: bytes) -> QuantizedModel:
         walk_stages(stages, in_shape)
     except ValidationError as exc:  # a stage chain that does not fit
         raise ModelFileError(str(exc)) from exc
+    if not stages or not isinstance(stages[-1], Head):
+        raise ModelFileError("the stage chain does not end in the head")
     return QuantizedModel(stages=stages, input_shape=in_shape, classes=classes)
 
 

@@ -138,40 +138,6 @@ class _WeightedLayer(Layer):
             out.extend([self.tau, self.phi])
         return out
 
-    def effective_weight(self, relaxed=False):
-        """(w_eff, cache) where cache carries what backward needs."""
-        w = self.weight.value
-        if not self.spec.binarized:
-            return w, ("fp",)
-        wb = _binarize(w, relaxed)
-        mode = self.spec.omega_mode
-        if mode == "pm1":
-            return wb, ("pm1", w)
-        if mode == "learned":
-            tau = float(self.tau.value)
-            phi = float(self.phi.value)
-            return tau * wb + phi, ("learned", w, wb, tau)
-        om = fit_omega(w.ravel(), sign_binarize(w.ravel()))
-        return om.tau * wb + om.phi, ("analytic", w, om.tau)
-
-    def backward_weight(self, d_eff):
-        """Route the effective-weight gradient back to the latent parameters.
-        Analytic (tau, phi) are treated as constants of the fit."""
-        cache = self._wcache
-        kind = cache[0]
-        if kind == "fp":
-            self.weight.grad += d_eff
-        elif kind == "pm1":
-            self.weight.grad += d_eff * _ste_mask(cache[1])
-        elif kind == "analytic":
-            _, w, tau = cache
-            self.weight.grad += tau * d_eff * _ste_mask(w)
-        else:  # learned
-            _, w, wb, tau = cache
-            self.tau.grad += np.sum(d_eff * wb)
-            self.phi.grad += np.sum(d_eff)
-            self.weight.grad += tau * d_eff * _ste_mask(w)
-
     def current_omega(self) -> OmegaParams:
         """The (tau, phi) this layer quantizes to right now."""
         if not self.spec.binarized:
@@ -183,6 +149,28 @@ class _WeightedLayer(Layer):
             return OmegaParams(tau=float(self.tau.value), phi=float(self.phi.value))
         w = self.weight.value.ravel()
         return fit_omega(w, sign_binarize(w))
+
+    def effective_weight(self, relaxed=False):
+        """(tau * wb + phi, (w, wb, tau)) for a binarized layer; the latent
+        weights and None for a full-precision one."""
+        w = self.weight.value
+        if not self.spec.binarized:
+            return w, None
+        wb = _binarize(w, relaxed)
+        om = self.current_omega()
+        return om.tau * wb + om.phi, (w, wb, om.tau)
+
+    def backward_weight(self, d_eff):
+        """Route the effective-weight gradient back to the latent parameters.
+        Analytic (tau, phi) are treated as constants of the fit."""
+        if self._wcache is None:
+            self.weight.grad += d_eff
+            return
+        w, wb, tau = self._wcache
+        if self.tau is not None:
+            self.tau.grad += np.sum(d_eff * wb)
+            self.phi.grad += np.sum(d_eff)
+        self.weight.grad += tau * d_eff * _ste_mask(w)
 
 
 # ---------------------------------------------------------------------------

@@ -90,16 +90,11 @@ def penalty_g(bits, ec: float) -> float:
 
 
 def penalty_j(wb, ec: float) -> float:
-    """The same hinge on sign weights: max(0, sum((wb+1)/2)/N - ec).
-    Identical to penalty_g((wb+1)/2, ec); this is the form the training
-    loop differentiates (subgradient 1/(2N) per weight while active, 0 at
-    the hinge point)."""
-    wb = np.asarray(wb)
-    n = wb.size
-    if n < 1:
-        raise ValidationError("empty sign vector")
-    ones = int(np.count_nonzero(wb == 1))
-    return max(0.0, ones / n - ec)
+    """The same hinge on sign weights: max(0, sum((wb+1)/2)/N - ec), which
+    is penalty_g of the +1 positions. This is the form the training loop
+    differentiates (subgradient 1/(2N) per weight while active, 0 at the
+    hinge point)."""
+    return penalty_g(np.asarray(wb) == 1, ec)
 
 
 def lambda_update(loss_bnn: float, j_value: float, gamma: float) -> float:

@@ -32,6 +32,7 @@ from .engine import (
     Head,
     PackedLayer,
     QuantizedModel,
+    walk_stages,
 )
 from .nn import (
     BatchNorm,
@@ -428,8 +429,17 @@ def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
     """Quantize a training snapshot with one of the domain modes: 'analytic'
     (closed-form fit per layer), 'learned' (the trained tau/phi), or 'pm1'
     (the fixed {-1,+1} baseline). Defaults to the mode the snapshot was
-    trained with."""
+    trained with. Raises a SnapshotError when the stages do not fit the
+    snapshot's input shape or do not end in the head, as no model file that
+    loads could hold them."""
     net = restore_network(snap)
-    return quantize_network(
+    model = quantize_network(
         net, snap.input_shape, snap.classes, mode=mode or snap.cfg.omega_mode
     )
+    try:
+        walk_stages(model.stages, model.input_shape)
+    except ValidationError as exc:
+        raise SnapshotError(f"input shape {snap.input_shape}: {exc}") from exc
+    if not model.stages or not isinstance(model.stages[-1], Head):
+        raise SnapshotError("the spec does not end in a full-precision classifier")
+    return model

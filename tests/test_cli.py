@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -266,6 +267,31 @@ def _binary_first_stage(m):
     return engine.QuantizedModel(stages, m.input_shape, m.classes)
 
 
+def _zero_width_stem(m):
+    """The stem gives 0 channels and the binary conv takes 0."""
+    stem, conv = m.stages[0], m.stages[1].packed
+    stem.out_ch, stem.weight = 0, np.zeros((0, 1, 3, 3))
+    stem.threshold = engine.FusedThreshold(np.ones(0, dtype=np.int8), np.zeros(0))
+    empty = np.zeros((conv.out_ch, 0), dtype=np.uint8)
+    m.stages[1].packed = dataclasses.replace(conv, in_ch=0, bits=empty, kernel_tags=None)
+    return m
+
+
+def _zero_output_head(m):
+    m.stages[-1] = engine.Head(weight=np.zeros((0, 7)), bias=np.zeros(0))
+    return m
+
+
+def _no_stages(m):
+    m.stages = []
+    return m
+
+
+def _stem_only(m):
+    m.stages = m.stages[:1]
+    return m
+
+
 class TestCraftedModelFiles:
     """Malformed model files with a valid crc are data errors: exit 3 with a
     one-line message, no traceback."""
@@ -297,6 +323,10 @@ class TestCraftedModelFiles:
             (_head_width_plus_one, "stage 4: input width 8, gets 7 features"),
             (_conv_padding_600, "stage 1: conv padding 600 above 2"),
             (_binary_first_stage, "binary stage fed non-bit activations"),
+            (_zero_width_stem, "stage 0: 1 inputs and 0 outputs"),
+            (_zero_output_head, "stage 4: 7 inputs and 0 outputs"),
+            (_no_stages, "does not end in the head"),
+            (_stem_only, "does not end in the head"),
         ],
     )
     def test_broken_stage_chain(self, tmp_path, capsys, build, message):
@@ -425,6 +455,79 @@ class TestCraftedSnapshots:
         assert run_cli([command, "--snapshot", str(path)] + args) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "__meta__" in err
+
+
+def _input_shape_9x9(meta, arrays):
+    meta["input_shape"] = [1, 9, 9]
+
+
+def _no_classifier(meta, arrays):
+    last = len(meta["spec"]) - 1
+    meta["spec"].pop()
+    del arrays[f"p:{last}.weight"], arrays[f"p:{last}.bias"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_input_shape_9x9, "input shape (1, 9, 9): stage 3: input width 32, gets 72"),
+        (_no_classifier, "the spec does not end in a full-precision classifier"),
+    ],
+)
+def test_quantize_writes_no_file_that_cannot_load(trained_run, tmp_path, capsys, edit, message):
+    """A snapshot whose stages would quantize to a model file that nothing
+    can load: quantize exits 3 with one line and writes no file."""
+    snap = tmp_path / "edited.npz"
+    _edit_snapshot(trained_run / "snapshot.npz", snap, edit)
+    out = tmp_path / "edited.sbnn"
+    assert run_cli(["quantize", "--snapshot", str(snap), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+class TestPathErrors:
+    """A path that cannot be read or written gives one line on stderr and
+    the documented exit code: 3 for a data path, 2 for --config."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["eval", "--model", "{dir}", "--synthetic"], 3),
+            (["bench", "--model", "{dir}"], 3),
+            (["inspect", "--model", "{dir}"], 3),
+            (["inspect", "--snapshot", "{dir}"], 3),
+            (["quantize", "--snapshot", "{dir}"], 3),
+            (["eval", "--model", "{model}", "--data", "{dir}"], 3),
+            (["eval", "--model", "{model}", "--idx-images", "{dir}", "--idx-labels", "{dir}"], 3),
+            (["bench", "--model", "{model}", "--out", "{dir}"], 3),
+            (["inspect", "--model", "{model}", "--csv", "{dir}"], 3),
+            (["quantize", "--snapshot", "{snap}", "--out", "{dir}"], 3),
+            (["--config", "{dir}", "bench", "--model", "{model}"], 2),
+            (["--config", "{missing}", "bench", "--model", "{model}"], 2),
+            (["--config", "{latin1}", "bench", "--model", "{model}"], 2),
+        ],
+        ids=[
+            "eval-model-dir", "bench-model-dir", "inspect-model-dir", "inspect-snapshot-dir",
+            "quantize-snapshot-dir", "eval-data-dir", "eval-idx-dir", "bench-out-dir",
+            "inspect-csv-dir", "quantize-out-dir", "config-dir", "config-missing",
+            "config-not-utf8",
+        ],
+    )
+    def test_one_line_and_exit_code(self, trained_run, tmp_path, capsys, args, code):
+        paths = {
+            "dir": tmp_path / "a-directory",
+            "model": tmp_path / "golden.sbnn",
+            "snap": trained_run / "snapshot.npz",
+            "missing": tmp_path / "missing.cfg",
+            "latin1": tmp_path / "latin1.cfg",
+        }
+        paths["dir"].mkdir()
+        paths["model"].write_bytes(modelio.encode(golden_model()))
+        paths["latin1"].write_bytes("seed=1  # \xe9\n".encode("latin-1"))
+        assert run_cli([a.format(**paths) for a in args]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestStageNames:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sbnn import engine
+from sbnn import engine, nn
 from sbnn.binquant import OmegaParams, ValidationError
 
 from helpers import (
@@ -11,6 +11,8 @@ from helpers import (
     golden_model,
     int_preacts,
     reference_affine_remap,
+    reference_conv_forward,
+    reference_conv_im2col,
     reference_decide,
     reference_decide_channel,
 )
@@ -403,3 +405,40 @@ class TestEngineBitExactness:
             engine.infer(model, images)
         with pytest.raises(ValidationError, match="NaN or infinite"):
             engine.reference_forward(model, images)
+
+
+class TestPoolAndFloatStageOnBits:
+    """The bit pool and a full-precision stage fed by the stage before it,
+    which no quick-start model has, against the training layers' math."""
+
+    def test_bit_pool_is_the_training_max_pool_on_signs(self):
+        bits = np.random.default_rng(61).integers(0, 2, size=(3, 4, 6, 8)).astype(np.uint8)
+        got = engine.BitPool().forward(bits, engine.OpsCounters())
+        want = nn.MaxPool2x2(nn.LayerSpec("pool")).forward(2.0 * bits - 1.0)
+        assert got.dtype == np.uint8
+        assert np.array_equal(2.0 * got - 1.0, want)
+
+    def test_bit_pool_rejects_an_odd_map(self):
+        with pytest.raises(ValidationError, match="even"):
+            engine.BitPool().forward(np.zeros((1, 1, 3, 4), dtype=np.uint8), engine.OpsCounters())
+
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (1, 1), (2, 2)])
+    def test_float_conv_on_bits_pads_with_minus_one(self, stride, padding):
+        rng = np.random.default_rng(62)
+        bits = rng.integers(0, 2, size=(3, 2, 7, 6)).astype(np.uint8)
+        weight = rng.normal(size=(4, 2, 3, 3))
+        threshold = engine.FusedThreshold.from_batchnorm(
+            np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)
+        )
+        stage = engine.FloatStage(
+            kind="conv3x3", in_ch=2, out_ch=4, stride=stride, padding=padding,
+            weight=weight, threshold=threshold, takes_bits=True,
+        )
+        cols, geom = reference_conv_im2col(2.0 * bits - 1.0, stride, padding, -1.0)
+        want = reference_conv_forward(weight.reshape(4, -1), cols, geom)
+        assert np.array_equal(stage.preact(bits), want)
+        counters = engine.OpsCounters()
+        out = stage.forward(bits, counters)
+        assert out.shape == want.shape and out.dtype == np.uint8
+        # 2 per MAC of every output position of the batch, 1 per threshold compare
+        assert counters.flops == 2 * weight.size * (want.size // 4) + want.size

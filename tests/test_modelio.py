@@ -77,7 +77,8 @@ class TestHeaderErrors:
         assert data[4:6] == (1).to_bytes(2, "little")
         assert data[6:8] == (0).to_bytes(2, "little")
         assert len(data) == 8 + 4 + 1 + 12 + 4  # prefix, classes, ndim, dims, crc
-        assert model_equal(modelio.decode(data), m)
+        with pytest.raises(modelio.ModelFileError, match="does not end in the head"):
+            modelio.decode(data)
 
     def test_bad_magic(self):
         m = engine.QuantizedModel(stages=[], input_shape=(1, 4, 4), classes=2)
@@ -334,8 +335,8 @@ class TestMalformedFiles:
         conv.packed.padding = 3
         with pytest.raises(modelio.ModelFileError, match="conv padding 3 above 2"):
             modelio.decode(self._file([conv]))
-        conv.packed.padding = 2
-        modelio.decode(self._file([conv]))
+        conv.packed.padding = 2  # a (5, 10, 10) map
+        modelio.decode(self._file([conv, engine.Head(np.zeros((2, 500)), np.zeros(2))]))
 
     def test_conv_stride_zero(self):
         conv = golden_model().stages[1]

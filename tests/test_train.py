@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sbnn import dataio, nn
+from sbnn import dataio, engine, metrics, nn
 from sbnn.binquant import ValidationError
 from sbnn.train import (
     Adam,
@@ -12,6 +12,7 @@ from sbnn.train import (
     TrainReport,
     cosine_lr,
     load_snapshot,
+    quantize_network,
     quantize_snapshot,
     restore_network,
     save_snapshot,
@@ -288,3 +289,58 @@ class TestQuantizeSnapshot:
         om = model.binary_stages()[0].packed.omega
         assert om.degenerate
         assert om.phi == pytest.approx(0.25)
+
+
+def _pooled_spec(first_binarized=False):
+    """Stem, a binary conv and a 2x2 pool, twice over, then the head: on
+    8x8 images the maps go 8x8 -> 4x4 -> 2x2."""
+    ls = nn.LayerSpec
+    return (
+        ls("conv3x3", in_ch=1, out_ch=4, padding=1, binarized=first_binarized),
+        ls("batchnorm", out_ch=4),
+        ls("signact"),
+        ls("conv3x3", in_ch=4, out_ch=6, padding=1, binarized=True),
+        ls("batchnorm", out_ch=6),
+        ls("signact"),
+        ls("pool"),
+        ls("conv3x3", in_ch=6, out_ch=8, padding=1, binarized=True),
+        ls("batchnorm", out_ch=8),
+        ls("signact"),
+        ls("pool"),
+        ls("flatten"),
+        ls("classifier", in_ch=8 * 2 * 2, out_ch=3, bias=True),
+    )
+
+
+class TestQuantizeNetwork:
+    def test_pooled_network_runs_exactly(self):
+        ds = dataio.synthetic_classification(seed=8, n=48, classes=3, image_hw=8)
+        net = nn.Network(_pooled_spec(), np.random.default_rng(8))
+        train(net, (ds.images, ds.labels), TrainConfig(epochs=2, batch_size=16, seed=8))
+        model = quantize_network(net, (1, 8, 8), 3)
+        kinds = [type(s) for s in model.stages]
+        assert kinds == [
+            engine.FloatStage, engine.BinStage, engine.BitPool,
+            engine.BinStage, engine.BitPool, engine.Head,
+        ]
+        report = metrics.build_ops_report(model)
+        ref = engine.reference_forward(model, ds.images)
+        logits, counters = engine.infer(model, ds.images)
+        assert np.array_equal(logits, ref)
+        assert metrics.counters_match_report(counters, report)
+        logits, c_off = engine.infer(model, ds.images, skip=False)
+        assert np.array_equal(logits, ref)
+        assert c_off.position_ops == report.totals["bops_bnn"] * ds.count
+        assert counters.flops == c_off.flops == report.totals["flops"] * ds.count
+
+    def test_weighted_layer_needs_batchnorm_and_sign(self):
+        spec = _pooled_spec()
+        spec = spec[:1] + spec[2:]  # the stem loses its batchnorm
+        net = nn.Network(spec, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="layer 0 \\(conv3x3\\) must be followed by batchnorm and sign"):
+            quantize_network(net, (1, 8, 8), 3)
+
+    def test_first_layer_cannot_be_binarized(self):
+        net = nn.Network(_pooled_spec(first_binarized=True), np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="first layer cannot be binarized"):
+            quantize_network(net, (1, 8, 8), 3)

@@ -4,8 +4,7 @@ A quantized model is a pipeline of stages over bit activations (+1 -> bit 1,
 -1 -> bit 0):
 
   float stem   : real conv/linear on raw inputs, then fused batchnorm+sign
-  binary stage : channel-packed popcount pre-activations, affine remap to
-                 the layer domain, fused batchnorm+sign back to bits
+  binary stage : channel-packed popcounts, decided by a threshold table
   bit pool     : 2x2 max pool (OR on bits)
   head         : full-precision classifier on +-1 inputs
 
@@ -14,25 +13,33 @@ narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
 channels). Its weights are tap-packed: each output row holds its taps'
 channel words side by side (9 taps for a 3x3 conv, 1 for a linear stage),
 zero-padded to whole uint64 words, as (out, K). Each window's words are
-laid out the same way from the shifted (strided) input views, so z' is one
-AND+popcount over K uint64 words per (row, window) pair; padding is a halo
-of zero words (-1 activations). Every stage runs all K words of every row,
-so a word costs the same whatever its weight ones: sparsity pays in binary
-ops and file size, not in wall time. Skipping changes only the counters,
-which then charge Dense kernels alone, as the paper counts them.
+laid out the same way from the shifted (strided) input views, so the count
+c = popcount(x AND w) is one AND+popcount over K uint64 words per (row,
+window) pair; padding is a halo of zero words (-1 activations). Every stage
+runs all K words of every row, so a word costs the same whatever its weight
+ones: sparsity pays in binary ops and file size, not in wall time. Skipping
+changes only the counters, which then charge Dense kernels alone, as the
+paper counts them.
 
-A stage runs the AND+popcount, z', the remap and the threshold over slices of
-windows of at most STAGE_SLICE_VALUES (out, windows) values, into one uint8
-(out, windows) bit array: no int32, int64 or float64 array grows with the
-batch beyond one value per window.
+The stage decides from integers: with x the window's ones, the bit is
+[c >= T[r, x]] XOR flip[r], where the table T (out, fan_in + 1) is built
+once per stage by evaluating the canonical float decision
+decide(affine_remap(2c - w1, 2x - fan_in)) itself (see
+BinStage._threshold_table). So the engine runs no float op per binary
+output, yet gives bit for bit the bits of the dense reference path, which
+runs the affine remap and the fused batchnorm+sign on every output. The
+counts accumulate in the table's dtype, the narrowest unsigned one that
+holds the stage's most weight ones in a row plus one.
 
-Integer pre-activations are exact by construction; the affine remap and the
-threshold comparison are the single canonical float expressions shared with
-the dense reference path, so the two paths produce bit-identical logits.
+A stage runs the AND+popcount and the table lookup over slices of windows
+of at most STAGE_SLICE_VALUES (out, windows) values, into one uint8
+(out, windows) bit array: beyond the window words and one count per window,
+no array grows with the batch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,7 +134,8 @@ class FusedThreshold:
         with the orientation o = +-1, i.e. z >= theta (o = +1) or z <= theta
         (o = -1); negation is exact, -0.0 == 0.0 and theta = +-inf still order."""
         z = np.asarray(z, dtype=np.float64)
-        o = self.orientation.reshape((-1,) + (1,) * (z.ndim - 1))
+        # +-1.0: a float64 product needs no per-value cast of the int8 sign
+        o = self.orientation.astype(np.float64).reshape((-1,) + (1,) * (z.ndim - 1))
         return np.greater_equal(z * o, self.theta.reshape(o.shape) * o).view(np.uint8)
 
 
@@ -161,8 +169,12 @@ class OpsCounters:
     (XNOR + accumulate): with skipping, 2 * 9 * K_dense per window of a conv
     stage, else 2 per weight per window. word_popcounts counts the uint64
     AND+popcount word pairs executed, (out rows) x (windows) x K, the same
-    with skipping on or off. flops counts float operations (2 per MAC in
-    full-precision layers, 3 per remapped output, 1 per threshold compare).
+    with skipping on or off. flops counts float operations by the paper's
+    convention: 2 per MAC in full-precision layers, and 3 (the remap) + 1
+    (the threshold compare) per output of a binary stage. A binary stage
+    now decides each output by a table lookup and runs none of those 4 float
+    ops, but the count keeps the convention, so that the counters and
+    metrics.build_ops_report still count a model the same way.
     gather_ops is always 0: no stage gathers. It is kept only because
     perfbench/pipeline.py still reads it.
     """
@@ -205,6 +217,11 @@ class PackedLayer:
     def __post_init__(self):
         if not (self.omega.degenerate or self.omega.is_canonical):
             raise ValidationError("packed layers require canonical omega")
+        # every eta * z' and alpha * q finite (|z'|, |q| <= fan_in): the
+        # remap is then monotone in z', as the threshold table needs
+        eta = 0.0 if self.omega.degenerate else self.omega.eta
+        if not all(math.isfinite(v * self.fan_in) for v in (eta, self.omega.alpha)):
+            raise ValidationError("packed layers require a domain whose remap stays finite")
         if self.kind == "conv3x3" and self.kernel_tags is None:
             self.kernel_tags, self.kernel_counts = classify_kernels(self.bits)
 
@@ -233,6 +250,17 @@ def pack(bits, axis):
     return out.view(f"u{width}")
 
 
+@contextlib.contextmanager
+def _short_rows(n, **errstate):
+    """Within the block, numpy's buffer is no wider than rows of n values.
+    numpy buffers an op over (rows, 1) or (1, columns) operands whose rows
+    are shorter than its buffer (8192 values by default), 2-3x slower per
+    value. np.errstate(**errstate) scopes the setting."""
+    with np.errstate(**errstate):
+        np.setbufsize(max(16, min(np.getbufsize(), n // 16 * 16)))
+        yield
+
+
 # (out, windows) values per slice of windows in BinStage.forward: every
 # temporary of a slice stays about 1 MB, so the heap reuses it from one
 # slice to the next instead of faulting in fresh pages for each batch
@@ -246,9 +274,9 @@ class BinStage:
 
     def _prepare(self):
         """Built lazily: the weights as tap-packed uint64 words, shape
-        (out, K). Each row holds its taps' channel words side by side (9 taps
-        for a conv, 1 for a linear stage), zero-padded to whole uint64 words,
-        and popcount(w) per row."""
+        (out, K), and the stage's threshold table. Each row of the words
+        holds its taps' channel words side by side (9 taps for a conv, 1 for
+        a linear stage), zero-padded to whole uint64 words."""
         if getattr(self, "_words", None) is not None:
             return
         p = self.packed
@@ -257,8 +285,70 @@ class BinStage:
         k = -(-tap_words.shape[1] * tap_words.itemsize // 8)
         words = np.zeros((p.out_ch, k * 8 // tap_words.itemsize), dtype=tap_words.dtype)
         words[:, : tap_words.shape[1]] = tap_words
+        self._table, self._flip = self._threshold_table(p.bits.sum(axis=1, dtype=np.int64))
         self._words = words.view(np.uint64)
-        self._ones = p.bits.sum(axis=1, dtype=np.int64)
+
+    def _threshold_table(self, ones):
+        """The decision as a table of popcounts: T (out, fan_in + 1) in the
+        narrowest unsigned dtype that holds max(ones) + 1, and flip (out, 1)
+        uint8. Row r's bit for a window with x ones whose AND+popcount with
+        the row is c is [c >= T[r, x]] XOR flip[r], equal to the canonical
+        decide(affine_remap(2c - ones[r], 2x - fan_in)) for every c in
+        [0, ones[r]].
+
+        For fixed x that canonical bit is monotone in c: eta > 0 (or 0 on a
+        degenerate domain), so eta * z' is non-decreasing in z' and so is
+        its rounded sum with alpha * q (PackedLayer keeps every product
+        finite, so no NaN arises). It turns on at T[r, x] for orientation
+        +1 and off there for -1, where flip[r] is 1; T = ones[r] + 1 if it
+        never does. T is found by evaluating the canonical expression
+        itself, so it is exact by construction: first at the two counts
+        around the real root's guess, then by bisection for the few
+        entries the guess missed."""
+        p, thr = self.packed, self.threshold
+        f, omega = p.fan_in, p.omega
+        eta = np.float64(0.0 if omega.degenerate else omega.eta)  # divides as numpy does
+        flip = (thr.orientation < 0).astype(np.uint8)[:, None]
+        x = np.arange(f + 1)
+        top = ones[:, None].astype(np.float64)
+
+        def turned(r, zprime, q):  # the canonical bit XOR flip, as bool
+            bit = FusedThreshold(thr.orientation[r], thr.theta[r]).decide(
+                affine_remap(zprime, q, omega)
+            )
+            return bit != flip[r, 0]
+
+        rows, q = np.arange(p.out_ch)[:, None], 2 * x - f
+        with _short_rows(f + 1, all="ignore"):  # +-inf and NaN guesses are clipped
+            # the root of eta * (2c - ones) + alpha * (2x - f) = theta in c,
+            # as a row term minus an x term, rounded up into [0, ones + 1]
+            row = np.nan_to_num((thr.theta + omega.alpha * f) / (2 * eta) + ones / 2)
+            t = np.subtract.outer(row, np.nan_to_num(omega.alpha / eta) * x)
+            np.ceil(t, out=t)
+            np.clip(t, 0.0, top + 1.0, out=t)
+            # z' = 2c - ones at the counts t and t - 1; the masks drop the
+            # counts outside [0, ones]
+            zprime = np.multiply(t, 2.0)
+            zprime -= top
+            up = ~turned(rows, zprime, q)
+            up &= t <= top
+            zprime -= 2.0
+            down = turned(rows, zprime, q)
+            down &= t > 0.0
+        # bisect T in [t + 1, ones + 1] where the bit is still off at t and
+        # in [0, t - 1] where it is already on at t - 1
+        miss = np.nonzero(up | down)
+        t_miss, up = t[miss].astype(np.int64), up[miss]
+        lo = np.where(up, t_miss + 1, 0)
+        hi = np.where(up, ones[miss[0]] + 1, t_miss - 1)
+        r, xs = miss
+        while (live := np.flatnonzero(lo < hi)).size:
+            mid = (lo[live] + hi[live]) // 2
+            on = turned(r[live], 2 * mid - ones[r[live]], 2 * xs[live] - f)
+            hi[live] = np.where(on, mid, hi[live])
+            lo[live] = np.where(on, lo[live], mid + 1)
+        t[miss] = lo
+        return t.astype(np.min_scalar_type(int(ones.max(initial=0)) + 1)), flip
 
     @property
     def label(self) -> str:
@@ -298,23 +388,23 @@ class BinStage:
             ]
         win = np.ascontiguousarray(windows.view(np.uint64).reshape(nwin, k).T)
         del windows  # before the slices allocate theirs
-        q = 2 * _kernels.popcount_rows(win.T) - p.fan_in
+        win_ones = _kernels.popcount_rows(win.T)
 
-        # z' = 2 * popcount(x AND w) - popcount(w), the remap and the
-        # threshold, one slice of windows at a time
+        # the bit of each (row, window): its AND+popcount against the table
+        # entry for the window's ones, one slice of windows at a time
+        table = self._table
         bits = np.empty((p.out_ch, nwin), dtype=np.uint8)
         step = max(1, STAGE_SLICE_VALUES // p.out_ch)
-        with np.errstate():  # scopes the buffer size set below
-            # numpy buffers an op over (rows, 1) or (1, columns) operands
-            # whose rows are shorter than its buffer (8192 values by default),
-            # 2-3x slower per value: a buffer no wider than a slice avoids it
-            np.setbufsize(max(16, min(np.getbufsize(), step // 16 * 16)))
+        with _short_rows(step):
             for lo in range(0, nwin, step):
-                overlap = _kernels.and_popcount_matmat(self._words, win[:, lo : lo + step].T)
-                overlap *= 2
-                zprime = np.subtract(overlap, self._ones[:, None])
-                z = affine_remap(zprime, q[None, lo : lo + step], p.omega)
-                bits[:, lo : lo + step] = self.threshold.decide(z)
+                counts = _kernels.and_popcount_matmat(
+                    self._words, win[:, lo : lo + step].T, dtype=table.dtype
+                )
+                np.greater_equal(
+                    counts, table.take(win_ones[lo : lo + step], axis=1),
+                    out=bits[:, lo : lo + step].view(np.bool_),
+                )
+        bits ^= self._flip
         # the paper's count charges only Dense kernels; skip off charges every weight
         counted = 9 * p.kernel_counts[2] if skip and conv else p.weight_count
         counters.add_layer(
@@ -324,7 +414,7 @@ class BinStage:
             flops=int(3 * bits.size + bits.size),
         )
         out = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3) if conv else bits.T
-        return out, q
+        return out, 2 * win_ones - p.fan_in
 
 
 @dataclass
@@ -456,8 +546,9 @@ def walk_stages(stages, input_shape):
 
 def _batch(model, images):
     """The images as a float64 (B, C, H, W) batch (one (C, H, W) image gets a
-    batch axis). Raises a ValidationError unless each image has the model's
-    input shape and every value is finite."""
+    batch axis). Raises a ValidationError unless the batch holds at least one
+    image, each image has the model's input shape and every value is
+    finite."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
@@ -465,6 +556,8 @@ def _batch(model, images):
         raise ValidationError(
             f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}"
         )
+    if images.shape[0] == 0:
+        raise ValidationError("the batch holds no images")
     if not np.isfinite(images).all():
         raise ValidationError("images hold NaN or infinite values")
     return images
@@ -474,8 +567,9 @@ def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
     """Run the engine over a batch on the calling thread: (logits,
     OpsCounters). `skip` picks only the position_ops convention: Dense
     kernels alone (True) or every weight (False); both run the same words.
-    Images of another shape than the model's input, or holding NaN or
-    infinite values, are rejected with a ValidationError.
+    An empty batch, images of another shape than the model's input, or
+    images holding NaN or infinite values are rejected with a
+    ValidationError.
 
     `workers` is accepted only as None: perfbench/test_bench.py still passes
     it through. Any other value raises a ValidationError, so no caller that

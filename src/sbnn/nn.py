@@ -451,21 +451,30 @@ class Network:
             self.layers.append(_LAYER_TYPES[ls.kind](ls, rng))
 
     def forward(self, x, train=False, relaxed=False):
+        """The logits. Each layer drops the cache of an earlier forward
+        before it builds its own, and an inference forward (train=False)
+        keeps none, since no backward follows it."""
         for layer in self.layers:
+            layer._cache = None
             x = layer.forward(x, train=train, relaxed=relaxed)
+            if not train:
+                layer._cache = None
         return x
 
     def backward(self, grad):
-        """Accumulate every parameter's gradient from d(loss)/d(logits).
+        """Accumulate every parameter's gradient from d(loss)/d(logits),
+        dropping each layer's forward cache once its backward has run.
         Nothing uses the gradient with respect to the network input, so a
         weighted first layer (the stem) does not compute it."""
         for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
+            layer._cache = None
         first = self.layers[0]
         if isinstance(first, _WeightedLayer):
             first.backward(grad, input_grad=False)
         else:
             first.backward(grad)
+        first._cache = None
 
     def params(self):
         out = []

@@ -9,7 +9,7 @@ import contextlib
 
 import numpy as np
 
-from sbnn import engine, nn
+from sbnn import _kernels, engine, nn
 from sbnn.binquant import OmegaParams, ValidationError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -308,28 +308,48 @@ def int_preacts(bits, windows):
 
 @contextlib.contextmanager
 def captured_preacts():
-    """Within the block, collect copies of the (z', q) slices the engine hands
-    to `engine.affine_remap`, in call order."""
+    """Within the block, collect the int64 (z', q) slices of every binary
+    stage's forward, in call order, from what its threshold table compares:
+    the counts c of each `_kernels.and_popcount_matmat` call give
+    z' = 2c - w1, with w1 the stage's weight ones per row, and the window
+    ones x of the stage's `_kernels.popcount_rows` call give q = 2x - fan_in
+    for the slice's windows."""
     slices = []
-    real = engine.affine_remap
+    real_forward = engine.BinStage.forward
+    real_rows, real_matmat = _kernels.popcount_rows, _kernels.and_popcount_matmat
+    state = {}
 
-    def spy(z_prime, q, omega):
-        slices.append((z_prime.copy(), np.array(q, copy=True)))
-        return real(z_prime, q, omega)
+    def forward(stage, *args, **kwargs):
+        state["stage"] = stage
+        return real_forward(stage, *args, **kwargs)
 
-    engine.affine_remap = spy
+    def popcount_rows(words):
+        state["x"], state["lo"] = real_rows(words), 0
+        return state["x"]
+
+    def and_popcount_matmat(a, b, **kwargs):
+        counts = real_matmat(a, b, **kwargs)
+        p, lo = state["stage"].packed, state["lo"]
+        state["lo"] += counts.shape[1]
+        w1 = p.bits.sum(axis=1, dtype=np.int64)[:, None]
+        x = state["x"][lo : state["lo"]]
+        slices.append((2 * counts.astype(np.int64) - w1, 2 * x.astype(np.int64) - p.fan_in))
+        return counts
+
+    engine.BinStage.forward = forward
+    _kernels.popcount_rows, _kernels.and_popcount_matmat = popcount_rows, and_popcount_matmat
     try:
         yield slices
     finally:
-        engine.affine_remap = real
+        engine.BinStage.forward = real_forward
+        _kernels.popcount_rows, _kernels.and_popcount_matmat = real_rows, real_matmat
 
 
 def forward_preacts(stage, x, counters, skip):
     """Run `stage.forward` under `captured_preacts`. Returns (bits, z', q,
-    returned q), the captured slices joined along the windows axis; z' keeps
-    the dtype the engine gave it."""
+    returned q), the captured int64 slices joined along the windows axis."""
     with captured_preacts() as slices:
         bits, q_out = stage.forward(x, counters, skip=skip)
     zprime = np.concatenate([z for z, _ in slices], axis=1)
-    q = np.concatenate([q.ravel() for _, q in slices])
+    q = np.concatenate([q for _, q in slices])
     return bits, zprime, q, q_out

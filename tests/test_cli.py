@@ -226,6 +226,17 @@ def _non_canonical_tau(m, data):
     data[off : off + 8] = struct.pack("<d", -0.5)
 
 
+def _infinite_tau(m, data):
+    off = _stage_offset(m, 1) + 1 + 16 + 1
+    data[off : off + 8] = struct.pack("<d", np.inf)
+
+
+def _overflowing_tau(m, data):
+    """eta = 2e307 is finite, but eta * z' overflows at |z'| = fan_in = 27."""
+    off = _stage_offset(m, 1) + 1 + 16 + 1
+    data[off : off + 8] = struct.pack("<d", 1e307)
+
+
 def _set_stage(m, i, stage):
     stages = list(m.stages)
     stages[i] = stage
@@ -303,6 +314,8 @@ class TestCraftedModelFiles:
             (_class_code_11, "invalid kernel class code"),
             (_single_index_9, "single-kernel index 9"),
             (_non_canonical_tau, "canonical"),
+            (_infinite_tau, "remap stays finite"),
+            (_overflowing_tau, "remap stays finite"),
         ],
     )
     @pytest.mark.parametrize("command", ["bench", "inspect"])

@@ -66,6 +66,22 @@ class TestKernelClass:
         assert layer.kernel_tags.tolist() == [0, 1, 0, 0, 0, 2]
         assert layer.kernel_counts == (4, 1, 1)
 
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            OmegaParams(tau=np.inf, phi=0.0),
+            OmegaParams(tau=1e307, phi=0.0),  # eta finite, eta * fan_in not
+            OmegaParams(tau=0.5, phi=np.nan),
+            OmegaParams(tau=0.0, phi=-1e307, degenerate=True),
+        ],
+    )
+    def test_packed_layer_rejects_a_remap_that_overflows(self, omega):
+        with pytest.raises(ValidationError, match="finite"):
+            engine.PackedLayer(
+                kind="conv3x3", in_ch=3, out_ch=2, stride=1, padding=0,
+                bits=np.ones((2, 27), dtype=np.uint8), omega=omega,
+            )
+
     def test_not_divisible(self):
         with pytest.raises(ValidationError):
             engine.classify_kernels(np.zeros(10, dtype=np.uint8))
@@ -395,6 +411,12 @@ class TestEngineBitExactness:
             with pytest.raises(ValidationError, match="input shape"):
                 run(model, images)
 
+    def test_both_paths_reject_an_empty_batch(self):
+        model = golden_model()
+        for run in (engine.infer, engine.reference_forward):
+            with pytest.raises(ValidationError, match="no images"):
+                run(model, np.zeros((0, 1, 8, 8)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_images_rejected(self, bad):
         rng = np.random.default_rng(25)
@@ -442,3 +464,148 @@ class TestPoolAndFloatStageOnBits:
         assert out.shape == want.shape and out.dtype == np.uint8
         # 2 per MAC of every output position of the batch, 1 per threshold compare
         assert counters.flops == 2 * weight.size * (want.size // 4) + want.size
+
+
+def _check_table(stage):
+    """Every (row, c, x) of the stage's threshold table: [c >= T[r, x]] XOR
+    flip[r] is the canonical float decision of z' = 2c - w1 and q = 2x - F,
+    for every count c in [0, w1] and window ones x in [0, F]."""
+    stage._prepare()
+    p, thr = stage.packed, stage.threshold
+    table, flip = stage._table, stage._flip
+    w1 = p.bits.sum(axis=1, dtype=np.int64)
+    assert table.shape == (p.out_ch, p.fan_in + 1)
+    assert table.dtype == np.min_scalar_type(int(w1.max()) + 1)
+    assert flip.ravel().tolist() == (thr.orientation < 0).tolist()
+    q = 2 * np.arange(p.fan_in + 1) - p.fan_in
+    for r in range(p.out_ch):
+        c = np.arange(w1[r] + 1)[:, None]
+        zprime = np.broadcast_to(2 * c - w1[r], (c.size, q.size))
+        want = reference_decide_channel(thr, engine.affine_remap(zprime, q[None], p.omega), r)
+        assert np.array_equal((c >= table[r]) ^ flip[r], want), f"row {r}"
+        assert int(table[r].max()) <= w1[r] + 1
+
+
+def _linear_stage(ones, omega, theta, orientation, fan_in=300, seed=0):
+    """A binary linear stage whose row r has ones[r] weight ones."""
+    rng = np.random.default_rng(seed)
+    bits = np.zeros((len(ones), fan_in), dtype=np.uint8)
+    for r, n in enumerate(ones):
+        bits[r, rng.choice(fan_in, size=n, replace=False)] = 1
+    packed = engine.PackedLayer(
+        kind="linear", in_ch=fan_in, out_ch=len(ones), stride=1, padding=0, bits=bits, omega=omega
+    )
+    thr = engine.FusedThreshold(
+        orientation=np.asarray(orientation, dtype=np.int8), theta=np.asarray(theta, dtype=float)
+    )
+    return engine.BinStage(packed=packed, threshold=thr)
+
+
+def _reachable_z(ones, omega, fan_in, rng):
+    """One canonical z per row, at a random count and window ones the row
+    can reach: a threshold equal to it is a tie."""
+    ones = np.asarray(ones)
+    c = np.array([rng.integers(0, n + 1) for n in ones])
+    # x ones of which c meet the row's ones: x in [c, c + fan_in - ones]
+    x = c + np.array([rng.integers(0, fan_in - n + 1) for n in ones])
+    return engine.affine_remap(2 * c - ones, 2 * x - fan_in, omega), c, x
+
+
+class TestThresholdTable:
+    """The binary stage decides from its popcounts through a table built by
+    evaluating the canonical float expression; the table must reproduce
+    that expression at every count and window-ones value."""
+
+    def test_seeded_stages_exhaustive(self):
+        rng = np.random.default_rng(70)
+        stages = golden_model().binary_stages()
+        for _ in range(4):
+            stages += build_random_model(rng).binary_stages()
+        # a conv whose thresholds mix both orientations
+        packed = engine.PackedLayer(
+            kind="conv3x3", in_ch=5, out_ch=16, stride=1, padding=1,
+            bits=(rng.random((16, 45)) < 0.3).astype(np.uint8),
+            omega=OmegaParams(tau=0.37, phi=0.11),
+        )
+        thr = engine.FusedThreshold.from_batchnorm(
+            rng.normal(0, 1, 16), rng.normal(0, 1, 16), rng.normal(0, 3, 16), rng.uniform(0.1, 2, 16)
+        )
+        assert set(thr.orientation.tolist()) == {-1, 1}
+        stages.append(engine.BinStage(packed=packed, threshold=thr))
+        for stage in stages:
+            _check_table(stage)
+
+    @pytest.mark.parametrize("most", [254, 255, 256])
+    def test_adversarial_rows(self, most):
+        """Rows at the accumulator's dtype boundary, infinite and NaN
+        thresholds, both orientations and thresholds tied with a reachable z;
+        the stage's bits against the float decision of the int64 oracle."""
+        rng = np.random.default_rng(most)
+        omega = OmegaParams(tau=0.3, phi=0.05)
+        ones = [most, most - 1, 0, 1, 300 - most, 7, most, most, most, most, 150, 150]
+        tie, c, x = _reachable_z(ones, omega, 300, rng)
+        theta = tie.copy()
+        theta[6:10] = [np.inf, np.inf, -np.inf, np.nan]
+        orientation = [1, -1] * 6
+        stage = _linear_stage(ones, omega, theta, orientation, seed=most)
+        _check_table(stage)
+        assert stage._table.dtype == (np.uint8 if most < 255 else np.uint16)
+        # ties give +1 whatever the orientation
+        for r in (0, 1, 2, 3, 4, 5, 10, 11):
+            assert (c[r] >= stage._table[r, x[r]]) ^ stage._flip[r, 0] == 1
+        # windows from all ones to all zeros, so counts reach every row's w1
+        windows = (rng.random((64, 300)) < np.linspace(0, 1, 64)[:, None]).astype(np.uint8)
+        windows[-1], windows[0] = 1, 0
+        zprime, q = int_preacts(stage.packed.bits, windows)
+        want = stage.threshold.decide(engine.affine_remap(zprime, q[None], omega))
+        got, q_out = stage.forward(windows, engine.OpsCounters())
+        assert np.array_equal(got.T, want) and np.array_equal(q_out, q)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -0.2])
+    def test_degenerate_domain(self, phi):
+        """eta = 0: the bit is alpha * q against theta, the same at every count;
+        alpha * q is -0.0 or 0.0 when phi is 0, tied with theta = 0."""
+        omega = OmegaParams(tau=0.0, phi=phi, degenerate=True)
+        ones = [3, 0, 40, 12, 12, 12]
+        theta = [0.0, -0.0, 0.0, 0.6, -0.6, np.inf]
+        stage = _linear_stage(ones, omega, theta, [1, -1, -1, 1, -1, 1], fan_in=40)
+        _check_table(stage)
+
+    def test_bisection_repairs_a_wrong_guess(self, monkeypatch):
+        """eta so small that eta * z' vanishes next to alpha * q: the real
+        root guesses a count near w1 / 2, yet every count ties with theta =
+        alpha * q, so the table comes from evaluations beyond the guess."""
+        omega = OmegaParams(tau=1e-300, phi=0.5)
+        ones = [60, 61, 33, 100]
+        q = np.array([4, -8, 0, 20])
+        theta = engine.affine_remap(np.zeros(4), q, omega)
+        stage = _linear_stage(ones, omega, theta, [1, -1, 1, -1], fan_in=100)
+        calls = []
+        real = engine.affine_remap
+        monkeypatch.setattr(
+            engine, "affine_remap", lambda *a: calls.append(np.size(a[0])) or real(*a)
+        )
+        stage._prepare()
+        monkeypatch.undo()
+        assert len(calls) > 2 and calls[:2] == [4 * 101] * 2
+        _check_table(stage)
+
+    def test_forward_runs_no_float_decision(self, monkeypatch):
+        model = golden_model()
+        images = np.random.default_rng(71).normal(size=(6, 1, 8, 8))
+        x, outs = images, []
+        for stage in model.stages[:4]:
+            if isinstance(stage, engine.BinStage):
+                stage._prepare()
+            x = stage.forward(x, engine.OpsCounters())
+            x = x[0] if isinstance(x, tuple) else x
+            outs.append(x)
+
+        def float_decision(*args, **kwargs):
+            raise AssertionError("a binary stage ran the float remap or threshold")
+
+        monkeypatch.setattr(engine, "affine_remap", float_decision)
+        monkeypatch.setattr(engine.FusedThreshold, "decide", float_decision)
+        for i in (1, 3):
+            bits, _ = model.stages[i].forward(outs[i - 1], engine.OpsCounters())
+            assert np.array_equal(bits, outs[i])

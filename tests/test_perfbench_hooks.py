@@ -81,6 +81,24 @@ def test_infer_calls_and_popcount_matmat(tracing, skip):
     )
 
 
+@pytest.mark.parametrize("skip", [True, False])
+def test_traced_word_pairs_sum_to_the_counters(tracing, skip):
+    """perfbench/tracing.py's work counter of `and_popcount_matmat` unpacks
+    exactly two positional operands (`a, b = args`), and the per-layer
+    popcount rates divide by what it counts: every call must carry a work
+    dict, and their word pairs must add up to the engine's counters."""
+    model, images = _model_and_images()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, counters = engine.infer(model, images, skip=skip)
+    finally:
+        tracer.uninstall()
+    works = [span[5] for span in tracer.spans if span[0] == "_kernels.and_popcount_matmat"]
+    assert works and all(work is not None for work in works)
+    assert sum(work["word_pairs"] for work in works) == counters.word_popcounts
+
+
 def test_names_read_outside_the_tracer(run):
     assert run.environment(1)["backend"] == "numpy"
     assert engine.OpsCounters().gather_ops == 0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,29 @@ class TestTrainLoop:
             return train(net, (ds2.images, ds2.labels), cfg).to_jsonl()
 
         assert run_once() == run_once()
+
+    def test_layer_caches_are_released(self):
+        """One sparse16-shaped epoch (128 16x16 images, width 16, batches of
+        64): each layer's forward cache goes once its backward has run, and
+        the per-epoch evaluate keeps none. With the caches kept, the peak was
+        about 99 MB and 85 MB stayed live after train returned."""
+        ds = dataio.synthetic_classification(
+            seed=5, n=128, classes=10, difficulty=3.0, image_hw=16
+        )
+        spec = nn.conv_net_spec(in_ch=1, classes=10, width=16, image_hw=16)
+        net = nn.Network(spec, np.random.default_rng(0))
+        cfg = TrainConfig(epochs=1, batch_size=64, learning_rate=5e-3, gamma=0.5,
+                          target_sparsity=0.95, seed=5)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            train(net, (ds.images, ds.labels), cfg)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 75 * 2**20
+        assert live - base < 2**20
+        assert all(layer._cache is None for layer in net.layers)
 
 
 class TestSbnnStep:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _kernels
 from .binquant import OmegaParams, ValidationError
-from .nn import MAX_CONV_PADDING, _conv_apply, _window_rows
+from .nn import MAX_CONV_PADDING, _im2col, _window_rows
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,9 @@ class FusedThreshold:
     def decide(self, z):
         """Bits (uint8) for pre-activations z (channels, ...): z * o >= theta * o
         with the orientation o = +-1, i.e. z >= theta (o = +1) or z <= theta
-        (o = -1); negation is exact, -0.0 == 0.0 and theta = +-inf still order."""
+        (o = -1); negation is exact, -0.0 == 0.0 and theta = +-inf still order.
+        Callers: BinStage._threshold_table and reference_forward's binary
+        stages (a FloatStage folds o into its weights instead)."""
         z = np.asarray(z, dtype=np.float64)
         # +-1.0: a float64 product needs no per-value cast of the int8 sign
         o = self.orientation.astype(np.float64).reshape((-1,) + (1,) * (z.ndim - 1))
@@ -420,7 +422,11 @@ class BinStage:
 @dataclass
 class FloatStage:
     """Full-precision conv or linear followed by fused batchnorm+sign.
-    Consumes raw real inputs (the stem) or +-1 bits (mid-network)."""
+    Consumes raw real inputs (the stem) or +-1 bits (mid-network). Forms the
+    training layer's product (nn.Conv3x3: cols.T @ wf.T over nn._im2col's
+    windows; nn.Linear: x @ w.T) with the orientation o folded into the
+    weights: negation is exact, so channel c is o[c] times the training
+    output bit for bit, decided by one compare with o[c] * theta[c]."""
 
     kind: str  # "conv3x3" | "linear"
     in_ch: int
@@ -435,22 +441,30 @@ class FloatStage:
     def label(self) -> str:
         return f"fp_{self.kind}"
 
-    def preact(self, x):
-        if self.takes_bits:
-            x = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-        else:
-            x = np.asarray(x, dtype=np.float64)
-        if self.kind == "conv3x3":
-            rows, hw = _window_rows(x, self.stride, self.padding, -1.0 if self.takes_bits else 0.0)
-            return _conv_apply(rows, self.weight.reshape(self.out_ch, -1), hw)
-        return x @ self.weight.T
+    def _prepare(self):
+        """Built lazily: o * W as (out, fan_in) and o * theta."""
+        if getattr(self, "_weight_o", None) is None:
+            o = self.threshold.orientation.astype(np.float64)
+            self._weight_o = o[:, None] * self.weight.reshape(self.out_ch, -1)
+            self._theta_o = o * self.threshold.theta
 
     def forward(self, x, counters: OpsCounters):
-        z = self.preact(x)
-        bits = np.moveaxis(self.threshold.decide(np.moveaxis(z, 1, 0)), 0, 1)
-        macs = self.weight.size * (z.size // self.out_ch)
+        self._prepare()
+        x = np.asarray(x, dtype=np.float64)
+        if self.takes_bits:
+            x = 2.0 * x - 1.0
+        b, conv = x.shape[0], self.kind == "conv3x3"
+        if conv:
+            cols, hw = _im2col(x, self.stride, self.padding, -1.0 if self.takes_bits else 0.0)
+            z = cols.T @ self._weight_o.T  # (B*P, out)
+        else:
+            z = x.reshape(b, -1) @ self._weight_o.T
+        bits = np.greater_equal(z, self._theta_o).view(np.uint8)
+        macs = self._weight_o.size * z.shape[0]
         counters.add_layer(self.label, flops=int(2 * macs + z.size), position_ops=0)
-        return bits
+        if not conv:
+            return bits
+        return bits.reshape(b, -1, self.out_ch).transpose(0, 2, 1).reshape(b, self.out_ch, *hw)
 
 
 @dataclass

@@ -24,6 +24,9 @@ Stage blocks start with a tag byte:
 
     threshold block: i8 orientation per channel, then f64 theta per channel
 
+Float weights and the head's weights and biases are finite, and no theta
+is NaN (+-inf marks a constant channel): decode rejects any other value.
+
 The binary-conv kernel payload is a single MSB-first bit stream, padded to
 a byte boundary at the end: first a 2-bit class code per kernel (00 zero,
 01 single, 10 dense), then a 4-bit index per single kernel in kernel order,
@@ -195,7 +198,19 @@ def _read_threshold(cur: _Cursor, channels: int) -> FusedThreshold:
     if raw.translate(None, b"\x01\xff"):  # a byte other than +1 or -1
         raise ModelFileError(f"threshold orientation other than +-1 before offset {cur.pos}")
     orientation = np.frombuffer(raw, dtype=np.int8).copy()
-    return FusedThreshold(orientation=orientation, theta=cur.f64s(channels))
+    # +-inf is legal: from_batchnorm writes it for a constant channel
+    theta = cur.f64s(channels)
+    if np.isnan(theta).any():
+        raise ModelFileError(f"NaN threshold before offset {cur.pos}")
+    return FusedThreshold(orientation=orientation, theta=theta)
+
+
+def _finite_f64s(cur: _Cursor, count: int, what: str) -> np.ndarray:
+    """The next count float64 values, all of them finite."""
+    values = cur.f64s(count)
+    if not np.isfinite(values).all():
+        raise ModelFileError(f"{what} hold NaN or infinite values before offset {cur.pos}")
+    return values
 
 
 def _take_bits(cur: _Cursor, nbits: int) -> np.ndarray:
@@ -285,7 +300,7 @@ def decode(data: bytes) -> QuantizedModel:
                 stages.append(BinStage(packed=packed, threshold=thr))
             else:
                 wshape = (out_ch, in_ch, 3, 3) if conv else (out_ch, in_ch)
-                weight = cur.f64s(out_ch * fan_in).reshape(wshape)
+                weight = _finite_f64s(cur, out_ch * fan_in, "float weights").reshape(wshape)
                 thr = _read_threshold(cur, out_ch)
                 stages.append(
                     FloatStage(**geometry, weight=weight, threshold=thr, takes_bits=bool(flag))
@@ -294,8 +309,8 @@ def decode(data: bytes) -> QuantizedModel:
             stages.append(BitPool())
         elif tag == TAG_HEAD:
             in_f, out_f = cur.u32(), cur.u32()
-            weight = cur.f64s(in_f * out_f).reshape(out_f, in_f)
-            bias = cur.f64s(out_f)
+            weight = _finite_f64s(cur, in_f * out_f, "head weights").reshape(out_f, in_f)
+            bias = _finite_f64s(cur, out_f, "head biases")
             stages.append(Head(weight=weight, bias=bias))
         else:
             raise ModelFileError(f"unknown stage tag {tag} at offset {cur.pos - 1}")

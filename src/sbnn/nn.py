@@ -223,7 +223,9 @@ def _window_rows(x, stride, pad, pad_value):
     """x (B, C, H, W) -> the transpose of _im2col's columns: C-contiguous
     rows (B*P, C*9), one window per output pixel, plus (Ho, Wo). Built
     channels-last with one strided copy per tap, the way _col2im adds the
-    taps back, so the only large array it allocates is the result."""
+    taps back, so the only large array it allocates is the result. Used for
+    the dense reference's uint8 windows (BinStage.window_bits), where it
+    beats _im2col (README, "How the training conv is laid out")."""
     b, c, h, w = x.shape
     ho, wo = _conv_out_hw(h, w, stride, pad)
     xp = np.full((b, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x.dtype)

@@ -429,10 +429,17 @@ def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
     """Quantize a training snapshot with one of the domain modes: 'analytic'
     (closed-form fit per layer), 'learned' (the trained tau/phi), or 'pm1'
     (the fixed {-1,+1} baseline). Defaults to the mode the snapshot was
-    trained with. Raises a SnapshotError when the stages do not fit the
-    snapshot's input shape or do not end in the head, as no model file that
-    loads could hold them."""
+    trained with. Raises a SnapshotError when a parameter or batchnorm
+    statistic is NaN or infinite or a variance is negative, or when the
+    stages do not fit the snapshot's input shape or do not end in the head,
+    as no model file that loads could hold them."""
     net = restore_network(snap)
+    for prefix, arrays in (("p:", snap.params), ("b:", snap.buffers)):
+        for name, values in arrays.items():
+            if not np.isfinite(values).all():
+                raise SnapshotError(f"snapshot array {prefix}{name} holds NaN or infinite values")
+            if name.endswith("running_var") and (values < 0).any():
+                raise SnapshotError(f"snapshot array {prefix}{name} holds negative variances")
     model = quantize_network(
         net, snap.input_shape, snap.classes, mode=mode or snap.cfg.omega_mode
     )

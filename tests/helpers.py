@@ -161,6 +161,57 @@ def reference_kernel_payload(kind, bits):
 
 
 # ---------------------------------------------------------------------------
+# Float stages: the training layers' output, decided channel by channel
+# ---------------------------------------------------------------------------
+
+def channel_decide(threshold, z):
+    """FusedThreshold.decide over axis 1, the channel axis, of z."""
+    return np.moveaxis(threshold.decide(np.moveaxis(z, 1, 0)), 0, 1)
+
+
+def training_float_preact(stage, x):
+    """A FloatStage's pre-activations as the training layer forms them,
+    (B, out, Ho, Wo) for a conv and (B, out) for a linear stage: an
+    nn.Conv3x3 or nn.Linear holding the stage's weights. A stage that takes
+    bits runs on 2x - 1 with its -1 halo padded on beforehand, as the
+    layer's own padding would be 0 for a full-precision conv."""
+    x = np.asarray(x, dtype=np.float64)
+    conv, pad = stage.kind == "conv3x3", stage.padding
+    if stage.takes_bits:
+        x = 2.0 * x - 1.0
+        if conv:
+            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-1.0)
+            pad = 0
+    spec = nn.LayerSpec(
+        stage.kind, in_ch=stage.in_ch, out_ch=stage.out_ch, stride=stage.stride, padding=pad
+    )
+    layer = (nn.Conv3x3 if conv else nn.Linear)(spec, np.random.default_rng(0))
+    layer.weight.value[...] = stage.weight
+    return layer.forward(x if conv else x.reshape(x.shape[0], -1))
+
+
+def window_rows_stem_preact(stage, x):
+    """A float stem's pre-activations (B, out, Ho, Wo) as the engine formed
+    them before it moved onto training's im2col and product: windows from
+    nn._window_rows, multiplied with the weights by nn._conv_apply."""
+    rows, hw = nn._window_rows(np.asarray(x, dtype=np.float64), stage.stride, stage.padding, 0.0)
+    return nn._conv_apply(rows, stage.weight.reshape(stage.out_ch, -1), hw)
+
+
+def tied_threshold(z, rng):
+    """A threshold for the pre-activations z (B, out, ...) that a last-bit
+    difference in z would show: orientations alternate from -1, each
+    channel's theta is one of its own values (a tie), except theta = +inf
+    on channels 3, 8, ... and -inf on channels 4, 9, ..."""
+    n = z.shape[1]
+    zc = np.moveaxis(z, 1, 0).reshape(n, -1)
+    theta = zc[np.arange(n), rng.integers(zc.shape[1], size=n)]
+    theta[3::5], theta[4::5] = np.inf, -np.inf
+    orientation = np.resize(np.array([-1, 1], dtype=np.int8), n)
+    return engine.FusedThreshold(orientation=orientation, theta=theta)
+
+
+# ---------------------------------------------------------------------------
 # Spec-level forward of +-1 layers as float products. The conv gathers its
 # windows with nn._window_rows, which TestConvMatchesReference pins to the
 # fancy-index im2col below.

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 import subprocess
 import sys
 import zlib
@@ -237,6 +238,36 @@ def _overflowing_tau(m, data):
     data[off : off + 8] = struct.pack("<d", 1e307)
 
 
+def _float_at(offset, value):
+    """An edit that writes the float64 value at the file offset that
+    offset(model) gives."""
+    def edit(m, data):
+        off = offset(m)
+        data[off : off + 8] = struct.pack("<d", value)
+    return edit
+
+
+def _stem_weight(m):
+    return _stage_offset(m, 0) + 1 + 16 + 1  # tag, in/out/stride/pad, takes_bits
+
+
+def _stem_theta(m):
+    stem = m.stages[0]
+    return _stem_weight(m) + 8 * stem.weight.size + stem.out_ch  # weights, orientations
+
+
+def _binary_theta(m):
+    return _stage_offset(m, 1) + 1 + 16 + 1 + 16 + m.stages[1].packed.out_ch
+
+
+def _head_weight(m):
+    return _stage_offset(m, 4) + 1 + 8  # tag, in/out
+
+
+def _head_bias(m):
+    return _head_weight(m) + 8 * m.stages[4].weight.size
+
+
 def _set_stage(m, i, stage):
     stages = list(m.stages)
     stages[i] = stage
@@ -316,6 +347,12 @@ class TestCraftedModelFiles:
             (_non_canonical_tau, "canonical"),
             (_infinite_tau, "remap stays finite"),
             (_overflowing_tau, "remap stays finite"),
+            (_float_at(_stem_weight, np.nan), "float weights hold NaN or infinite values"),
+            (_float_at(_stem_weight, -np.inf), "float weights hold NaN or infinite values"),
+            (_float_at(_stem_theta, np.nan), "NaN threshold"),
+            (_float_at(_binary_theta, np.nan), "NaN threshold"),
+            (_float_at(_head_weight, np.inf), "head weights hold NaN or infinite values"),
+            (_float_at(_head_bias, np.nan), "head biases hold NaN or infinite values"),
         ],
     )
     @pytest.mark.parametrize("command", ["bench", "inspect"])
@@ -328,6 +365,25 @@ class TestCraftedModelFiles:
         assert run_cli([command, "--model", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_infinite_stem_weight_does_not_evaluate(self, tmp_path, capsys):
+        """The file is rejected as it loads: eval warns of no overflow and
+        prints no accuracy."""
+        m = golden_model()
+        data = bytearray(modelio.encode(m))
+        _float_at(_stem_weight, np.inf)(m, data)
+        path = tmp_path / "crafted.sbnn"
+        path.write_bytes(_with_crc(bytes(data)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                ["eval", "--model", str(path), "--synthetic", "--samples", "16",
+                 "--image-hw", "8", "--seed", "7"]
+            )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "float weights" in captured.err
+        assert "accuracy" not in captured.out
 
     @pytest.mark.parametrize(
         "build, message",
@@ -470,6 +526,14 @@ class TestCraftedSnapshots:
         assert err.count("\n") == 1 and "__meta__" in err
 
 
+def _array_at_0(name, value):
+    """A snapshot edit that sets the first value of array `name`."""
+    def edit(meta, arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+    return edit
+
+
 def _input_shape_9x9(meta, arrays):
     meta["input_shape"] = [1, 9, 9]
 
@@ -485,6 +549,12 @@ def _no_classifier(meta, arrays):
     [
         (_input_shape_9x9, "input shape (1, 9, 9): stage 3: input width 32, gets 72"),
         (_no_classifier, "the spec does not end in a full-precision classifier"),
+        (_array_at_0("b:1.running_var", np.nan), "array b:1.running_var holds NaN or infinite"),
+        (_array_at_0("b:4.running_mean", -np.inf), "array b:4.running_mean holds NaN or infinite"),
+        (_array_at_0("p:0.weight", np.nan), "array p:0.weight holds NaN or infinite"),
+        (_array_at_0("p:4.gamma", np.inf), "array p:4.gamma holds NaN or infinite"),
+        (_array_at_0("p:10.bias", np.nan), "array p:10.bias holds NaN or infinite"),
+        (_array_at_0("b:4.running_var", -1.0), "array b:4.running_var holds negative variances"),
     ],
 )
 def test_quantize_writes_no_file_that_cannot_load(trained_run, tmp_path, capsys, edit, message):

@@ -7,6 +7,7 @@ from sbnn import engine, nn
 from sbnn.binquant import OmegaParams, ValidationError
 
 from helpers import (
+    channel_decide,
     forward_preacts,
     golden_model,
     int_preacts,
@@ -15,6 +16,9 @@ from helpers import (
     reference_conv_im2col,
     reference_decide,
     reference_decide_channel,
+    tied_threshold,
+    training_float_preact,
+    window_rows_stem_preact,
 )
 
 
@@ -348,7 +352,7 @@ class TestEngineBitExactness:
                     )
                 x = bits
             elif isinstance(stage, engine.FloatStage):
-                zf = stage.preact(x)
+                zf = training_float_preact(stage, x)
                 bits = np.zeros(zf.shape, dtype=np.uint8)
                 for ch in range(stage.out_ch):
                     bits[:, ch] = reference_decide_channel(stage.threshold, zf[:, ch], ch)
@@ -449,21 +453,145 @@ class TestPoolAndFloatStageOnBits:
         rng = np.random.default_rng(62)
         bits = rng.integers(0, 2, size=(3, 2, 7, 6)).astype(np.uint8)
         weight = rng.normal(size=(4, 2, 3, 3))
-        threshold = engine.FusedThreshold.from_batchnorm(
-            np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)
-        )
+        cols, geom = reference_conv_im2col(2.0 * bits - 1.0, stride, padding, -1.0)
+        want = reference_conv_forward(weight.reshape(4, -1), cols, geom)
+        threshold = tied_threshold(want, rng)
         stage = engine.FloatStage(
             kind="conv3x3", in_ch=2, out_ch=4, stride=stride, padding=padding,
             weight=weight, threshold=threshold, takes_bits=True,
         )
-        cols, geom = reference_conv_im2col(2.0 * bits - 1.0, stride, padding, -1.0)
-        want = reference_conv_forward(weight.reshape(4, -1), cols, geom)
-        assert np.array_equal(stage.preact(bits), want)
         counters = engine.OpsCounters()
         out = stage.forward(bits, counters)
-        assert out.shape == want.shape and out.dtype == np.uint8
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, channel_decide(threshold, want))
         # 2 per MAC of every output position of the batch, 1 per threshold compare
         assert counters.flops == 2 * weight.size * (want.size // 4) + want.size
+
+
+def _float_stage(kind, in_ch, out_ch, rng, z_of, x, stride=1, padding=0, takes_bits=False):
+    """A FloatStage with normal weights and a tied_threshold on the
+    pre-activations z_of(stage, x), plus those pre-activations."""
+    shape = (out_ch, in_ch, 3, 3) if kind == "conv3x3" else (out_ch, in_ch)
+    stage = engine.FloatStage(
+        kind=kind, in_ch=in_ch, out_ch=out_ch, stride=stride, padding=padding,
+        weight=rng.normal(size=shape), threshold=None, takes_bits=takes_bits,
+    )
+    z = z_of(stage, x)
+    stage.threshold = tied_threshold(z, rng)
+    return stage, z
+
+
+class TestFloatStageIsTheTrainingProduct:
+    """A float stage's bits are FusedThreshold.decide on the training
+    layer's output, bit for bit: its product is the training product with
+    the orientation folded into the weights. The thresholds sit on values of
+    the product, so a last-bit difference would flip a bit."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("out_ch", [1, 2, 6, 16, 64])
+    @pytest.mark.parametrize("in_ch", [1, 3])
+    def test_stem_conv(self, in_ch, out_ch, batch, stride, padding):
+        rng = np.random.default_rng([in_ch, out_ch, batch, stride, padding])
+        x = rng.normal(size=(batch, in_ch, 7, 6))
+        stage, z = _float_stage(
+            "conv3x3", in_ch, out_ch, rng, training_float_preact, x, stride, padding
+        )
+        counters = engine.OpsCounters()
+        bits = stage.forward(x, counters)
+        assert bits.dtype == np.uint8 and bits.shape == z.shape
+        assert np.array_equal(bits, channel_decide(stage.threshold, z))
+        assert counters.flops == 2 * stage.weight.size * (z.size // out_ch) + z.size
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("out_ch", [2, 16])
+    @pytest.mark.parametrize("in_ch", [1, 3])
+    def test_conv_on_bits(self, in_ch, out_ch, stride, padding):
+        rng = np.random.default_rng([in_ch, out_ch, stride, padding, 1])
+        x = rng.integers(0, 2, size=(5, in_ch, 6, 7)).astype(np.uint8)
+        stage, z = _float_stage(
+            "conv3x3", in_ch, out_ch, rng, training_float_preact, x, stride, padding, True
+        )
+        bits = stage.forward(x, engine.OpsCounters())
+        assert np.array_equal(bits, channel_decide(stage.threshold, z))
+
+    @pytest.mark.parametrize("takes_bits", [False, True])
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("out_ch", [1, 6, 64])
+    @pytest.mark.parametrize("in_ch", [1, 3, 40])
+    def test_linear(self, in_ch, out_ch, batch, takes_bits):
+        rng = np.random.default_rng([in_ch, out_ch, batch, takes_bits])
+        x = rng.normal(size=(batch, in_ch))
+        if takes_bits:
+            x = (x >= 0).astype(np.uint8)
+        stage, z = _float_stage(
+            "linear", in_ch, out_ch, rng, training_float_preact, x, takes_bits=takes_bits
+        )
+        counters = engine.OpsCounters()
+        bits = stage.forward(x, counters)
+        assert bits.dtype == np.uint8 and bits.shape == (batch, out_ch)
+        assert np.array_equal(bits, channel_decide(stage.threshold, z))
+        assert counters.flops == 2 * stage.weight.size * batch + z.size
+
+    @pytest.mark.parametrize(
+        "batch, out_ch, hw", [(1024, 6, 8), (256, 16, 16), (256, 64, 8)],
+        ids=["desk-train", "sparse16", "dense-wide"],
+    )
+    def test_workload_stems_match_the_window_rows_product(self, batch, out_ch, hw):
+        """The benchmark workloads' stems give the bits the engine gave when
+        it built its windows with nn._window_rows."""
+        rng = np.random.default_rng([batch, out_ch, hw])
+        x = rng.normal(size=(batch, 1, hw, hw))
+        stage, z = _float_stage("conv3x3", 1, out_ch, rng, window_rows_stem_preact, x)
+        bits = stage.forward(x, engine.OpsCounters())
+        assert np.array_equal(bits, channel_decide(stage.threshold, z))
+
+    def test_infer_runs_no_decide_or_window_rows_in_float_stages(self, monkeypatch):
+        """engine.infer's float stages call neither FusedThreshold.decide nor
+        nn._window_rows; the dense reference's binary windows still come
+        from nn._window_rows."""
+        rng = np.random.default_rng(72)
+
+        def threshold(n):
+            return engine.FusedThreshold.from_batchnorm(
+                rng.normal(1.0, 0.5, n), rng.normal(0, 0.5, n),
+                rng.normal(0, 1.0, n), rng.uniform(0.05, 2.0, n),
+            )
+
+        stages = [
+            engine.FloatStage(
+                kind="conv3x3", in_ch=1, out_ch=3, stride=1, padding=1,
+                weight=rng.normal(size=(3, 1, 3, 3)), threshold=threshold(3),
+            ),
+            engine.FloatStage(
+                kind="conv3x3", in_ch=3, out_ch=4, stride=2, padding=1,
+                weight=rng.normal(size=(4, 3, 3, 3)), threshold=threshold(4), takes_bits=True,
+            ),
+            engine.FloatStage(
+                kind="linear", in_ch=64, out_ch=5, stride=1, padding=0,
+                weight=rng.normal(size=(5, 64)), threshold=threshold(5), takes_bits=True,
+            ),
+            engine.Head(weight=rng.normal(size=(2, 5)), bias=rng.normal(size=2)),
+        ]
+        model = engine.QuantizedModel(stages=stages, input_shape=(1, 8, 8), classes=2)
+        images = rng.normal(size=(6, 1, 8, 8))
+        calls = []
+
+        def spy(name, real):
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        monkeypatch.setattr(
+            engine.FusedThreshold, "decide", spy("decide", engine.FusedThreshold.decide)
+        )
+        monkeypatch.setattr(engine, "_window_rows", spy("_window_rows", engine._window_rows))
+        engine.infer(model, images)
+        assert calls == []
+
+        golden, bits = golden_model(), rng.integers(0, 2, size=(2, 3, 8, 8)).astype(np.uint8)
+        golden.stages[1].window_bits(bits)
+        assert calls == ["_window_rows"]
 
 
 def _check_table(stage):

@@ -344,6 +344,34 @@ class TestMalformedFiles:
         with pytest.raises(modelio.ModelFileError, match="stride 0"):
             modelio.decode(self._file([conv]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["stem weight", "head weight", "head bias"])
+    def test_non_finite_floats(self, where, bad):
+        model = golden_model()
+        stem, head = model.stages[0], model.stages[-1]
+        target = {"stem weight": stem.weight, "head weight": head.weight, "head bias": head.bias}
+        target[where].flat[1] = bad
+        with pytest.raises(modelio.ModelFileError, match="hold NaN or infinite values"):
+            modelio.decode(modelio.encode(model))
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_nan_threshold(self, stage):
+        model = golden_model()
+        model.stages[stage].threshold.theta[1] = np.nan
+        with pytest.raises(modelio.ModelFileError, match="NaN threshold"):
+            modelio.decode(modelio.encode(model))
+
+    def test_infinite_thresholds_load(self):
+        """from_batchnorm writes theta = +-inf for a constant channel."""
+        model = golden_model()
+        for stage in (0, 1):
+            model.stages[stage].threshold.theta[:2] = [np.inf, -np.inf]
+        loaded = modelio.decode(modelio.encode(model))
+        assert model_equal(loaded, model)
+        images = np.random.default_rng(73).normal(size=(4, 1, 8, 8))
+        logits, _ = engine.infer(loaded, images)
+        assert np.array_equal(logits, engine.reference_forward(model, images))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_single_bit_edits_fail_or_re_encode(self, seed):
         """Every file that loads re-encodes to itself: a single-bit edit of

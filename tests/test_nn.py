@@ -368,9 +368,10 @@ class TestConvMatchesReference:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_forward_only_window_rows(self, stride, padding):
-        """The inference-side conv (window rows, as FloatStage.preact,
-        BinStage.window_bits and forward_binary_conv build them) gathers the
-        reference windows and forms the reference output bit for bit."""
+        """The window rows that BinStage.window_bits and the test oracles
+        forward_binary_conv and window_rows_stem_preact build gather the
+        reference windows, and their product forms the reference output
+        bit for bit."""
         rng = np.random.default_rng([stride, padding])
         x = rng.normal(size=(5, 3, 7, 10))
         wf = rng.normal(size=(4, 27))

@@ -1,6 +1,6 @@
 """Sparse binary neural networks: entropy-budgeted training, two-value
-weight quantization with a closed-form fit, and a bit-packed popcount-only
-inference engine with exact operation accounting."""
+weight quantization with a closed-form fit, and an integer-only inference
+engine (popcounts or shifted-plane sums) with exact operation accounting."""
 
 from .binquant import (
     DegenerateSignError,

@@ -1,16 +1,17 @@
-"""The hot bit-kernels of the inference engine, on np.bitwise_count.
+"""The hot kernels of the inference engine's binary stages (see
+`engine.BinStage`): AND+popcount on np.bitwise_count, whose cost is rows x
+windows x words, and sums of shifted planes, one add per weight one.
 
-The packed popcount reductions dominate inference runtime. Bits are packed
-LSB-first with zero padding bits; a binary stage hands the kernels uint64
-words, each holding several taps' channel words side by side (see
-`engine.BinStage`). np.bitwise_count costs about the same per word at any
-width, so whole uint64 words make each popcount count the most bits.
+Bits are packed LSB-first with zero padding bits into uint64 words, each
+holding several taps' channel words side by side. np.bitwise_count costs
+about the same per word at any width, so whole uint64 words make each
+popcount count the most bits.
 
 Counts accumulate in a dtype the caller picks. A count never exceeds its
-row's popcount, so the dtype need only hold the most bits any row of the
-first operand has set: a binary stage passes its threshold table's dtype,
-the narrowest unsigned one that holds its most weight ones plus one (uint8
-up to 254 ones in a row). The operands stay the two positional arguments.
+row's weight ones, so the dtype need only hold the most ones any row has: a
+binary stage passes its threshold table's dtype, the narrowest unsigned one
+that holds its most weight ones plus one (uint8 up to 254 ones in a row).
+The operands of `and_popcount_matmat` stay its two positional arguments.
 """
 
 from __future__ import annotations
@@ -40,4 +41,16 @@ def and_popcount_matmat(a, b, *, dtype=np.int32):
         np.bitwise_and(a[:, k, None], b[None, :, k], out=both)
         np.bitwise_count(both, out=counts)
         np.add(out, counts, out=out)
+    return out
+
+
+def shifted_sums(flat, starts, out):
+    """Add into each row out[r] the slices flat[s : s + width] for every
+    start s in starts[r], where width = out.shape[1]: one contiguous add per
+    start. Each row of `out` must be contiguous, and every slice inside
+    `flat`. The sums are exact while out's dtype holds the largest."""
+    width = out.shape[1]
+    for acc, row in zip(out, starts):
+        for s in row:
+            np.add(acc, flat[s : s + width], out=acc)
     return out

@@ -4,22 +4,25 @@ A quantized model is a pipeline of stages over bit activations (+1 -> bit 1,
 -1 -> bit 0):
 
   float stem   : real conv/linear on raw inputs, then fused batchnorm+sign
-  binary stage : channel-packed popcounts, decided by a threshold table
+  binary stage : popcounts or shifted-plane sums, decided by a threshold table
   bit pool     : 2x2 max pool (OR on bits)
   head         : full-precision classifier on +-1 inputs
 
-A binary stage packs the input channels of each pixel into words once (the
-narrowest of uint8/16/32/64 that holds them, whole uint64 words above 64
-channels). Its weights are tap-packed: each output row holds its taps'
-channel words side by side (9 taps for a 3x3 conv, 1 for a linear stage),
-zero-padded to whole uint64 words, as (out, K). Each window's words are
-laid out the same way from the shifted (strided) input views, so the count
-c = popcount(x AND w) is one AND+popcount over K uint64 words per (row,
-window) pair; padding is a halo of zero words (-1 activations). Every stage
-runs all K words of every row, so a word costs the same whatever its weight
-ones: sparsity pays in binary ops and file size, not in wall time. Skipping
-changes only the counters, which then charge Dense kernels alone, as the
-paper counts them.
+A binary stage counts c = popcount(x AND w), the weight ones that meet input
+ones, for each (row, window) pair on one of two paths. The popcount path
+packs the input channels of each pixel into words once (the narrowest of
+uint8/16/32/64 that holds them, whole uint64 words above 64 channels). Its
+weights are tap-packed: each output row holds its taps' channel words side
+by side (9 taps for a 3x3 conv, 1 for a linear stage), zero-padded to whole
+uint64 words, as (out, K). Each window's words are laid out the same way
+from the shifted (strided) input views, so c is one AND+popcount over K
+uint64 words per pair, whatever the weight ones; padding is a halo of zero
+words (-1 activations). The plane path, for a stride-1 conv with skipping
+on, keeps each input channel as a plane over the flattened, zero-padded
+B * Hp * Wp grid and sums, per row, the plane of each weight one (ch, i, j)
+shifted by i * Wp + j: one add per weight one, so sparsity pays in wall
+time. BinStage.path picks it where that costs no more than the word pairs;
+the counts, and so the bits, are the same on both paths.
 
 The stage decides from integers: with x the window's ones, the bit is
 [c >= T[r, x]] XOR flip[r], where the table T (out, fan_in + 1) is built
@@ -31,15 +34,16 @@ runs the affine remap and the fused batchnorm+sign on every output. The
 counts accumulate in the table's dtype, the narrowest unsigned one that
 holds the stage's most weight ones in a row plus one.
 
-A stage runs the AND+popcount and the table lookup over slices of windows
-of at most STAGE_SLICE_VALUES (out, windows) values, into one uint8
-(out, windows) bit array: beyond the window words and one count per window,
-no array grows with the batch.
+The popcount path runs the AND+popcount and the table lookup over slices
+of windows of at most STAGE_SLICE_VALUES (out, windows) values, into one
+uint8 (out, windows) bit array; the plane path holds its counts for all
+windows at once, in the table's dtype.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -170,15 +174,17 @@ class OpsCounters:
     position_ops follows the paper's 2-ops-per-weight-position convention
     (XNOR + accumulate): with skipping, 2 * 9 * K_dense per window of a conv
     stage, else 2 per weight per window. word_popcounts counts the uint64
-    AND+popcount word pairs executed, (out rows) x (windows) x K, the same
-    with skipping on or off. flops counts float operations by the paper's
-    convention: 2 per MAC in full-precision layers, and 3 (the remap) + 1
-    (the threshold compare) per output of a binary stage. A binary stage
-    now decides each output by a table lookup and runs none of those 4 float
-    ops, but the count keeps the convention, so that the counters and
-    metrics.build_ops_report still count a model the same way.
+    AND+popcount word pairs executed: (out rows) x (windows) x K on a stage
+    that counts by popcount, 0 on one that counts by planes (each binary
+    stage's per_layer entry names its path). flops counts float operations
+    by the paper's convention: 2 per MAC in full-precision layers, and 3
+    (the remap) + 1 (the threshold compare) per output of a binary stage. A
+    binary stage now decides each output by a table lookup and runs none of
+    those 4 float ops, but the count keeps the convention, so that the
+    counters and metrics.build_ops_report still count a model the same way.
     gather_ops is always 0: no stage gathers. It is kept only because
-    perfbench/pipeline.py still reads it.
+    perfbench/pipeline.py still reads it. Under infer, each per_layer entry
+    is named as engine.walk_stages names its stage, s{index}_{label}.
     """
 
     images: int = 0
@@ -187,9 +193,10 @@ class OpsCounters:
     gather_ops: int = 0  # always 0; perfbench/pipeline.py reads it
     flops: int = 0
     per_layer: list = field(default_factory=list)
+    stage: str = ""  # walk_stages' name of the stage infer is running
 
-    def add_layer(self, name, **kw):
-        entry = {"layer": name}
+    def add_layer(self, label, **kw):
+        entry = {"layer": self.stage or label}
         entry.update(kw)
         self.per_layer.append(entry)
         self.position_ops += kw.get("position_ops", 0)
@@ -263,10 +270,16 @@ def _short_rows(n, **errstate):
         yield
 
 
-# (out, windows) values per slice of windows in BinStage.forward: every
-# temporary of a slice stays about 1 MB, so the heap reuses it from one
-# slice to the next instead of faulting in fresh pages for each batch
+# (out, windows) values per slice of windows in BinStage's popcount path:
+# every temporary of a slice stays about 1 MB, so the heap reuses it from
+# one slice to the next instead of faulting in fresh pages for each batch
 STAGE_SLICE_VALUES = 1 << 17
+
+# BinStage.path's costs, in bytes of a contiguous numpy add (numpy 2.4, 2-core
+# x86 VM): a byte costs about 0.045 ns, an add call 0.5 us more and an
+# AND+popcount word pair 0.7 ns
+PLANE_ADD_CALL_BYTES = 11_000
+WORD_PAIR_BYTES = 15
 
 
 @dataclass
@@ -276,9 +289,9 @@ class BinStage:
 
     def _prepare(self):
         """Built lazily: the weights as tap-packed uint64 words, shape
-        (out, K), and the stage's threshold table. Each row of the words
-        holds its taps' channel words side by side (9 taps for a conv, 1 for
-        a linear stage), zero-padded to whole uint64 words."""
+        (out, K), the stage's threshold table and its weight ones. Each row
+        of the words holds its taps' channel words side by side (9 taps for
+        a conv, 1 for a linear stage), zero-padded to whole uint64 words."""
         if getattr(self, "_words", None) is not None:
             return
         p = self.packed
@@ -287,8 +300,19 @@ class BinStage:
         k = -(-tap_words.shape[1] * tap_words.itemsize // 8)
         words = np.zeros((p.out_ch, k * 8 // tap_words.itemsize), dtype=tap_words.dtype)
         words[:, : tap_words.shape[1]] = tap_words
-        self._table, self._flip = self._threshold_table(p.bits.sum(axis=1, dtype=np.int64))
+        ones = p.bits.sum(axis=1, dtype=np.int64)
+        self._table, self._flip = self._threshold_table(ones)
+        self._ones = int(ones.sum())
         self._words = words.view(np.uint64)
+
+    @functools.cached_property
+    def _ones_at(self):
+        """A conv's weight ones as (channel, i, j) in row order, and each
+        row's (start, end) among them; built when a plane path first runs."""
+        p = self.packed
+        _, ch, tap = np.nonzero(p.bits.reshape(p.out_ch, p.in_ch, 9))
+        ends = np.cumsum(p.bits.sum(axis=1, dtype=np.int64)).tolist()
+        return ch, *np.divmod(tap, 3), list(zip([0] + ends, ends))
 
     def _threshold_table(self, ones):
         """The decision as a table of popcounts: T (out, fan_in + 1) in the
@@ -364,11 +388,30 @@ class BinStage:
             return _window_rows(np.asarray(x_bits, dtype=np.uint8), p.stride, p.padding, 0)
         return x_bits.reshape(x_bits.shape[0], -1).astype(np.uint8), None
 
-    def forward(self, x_bits, counters: OpsCounters, skip: bool = True):
-        """The stage's output bits, as a (B, out, Ho, Wo) view of channel-first
-        planes for a conv and (B, out) for a linear stage, and q per window."""
-        x_bits = _require_bits(x_bits)
+    def path(self, shape, skip: bool = True) -> str:
+        """"planes" or "popcount", how forward counts an input of `shape`: a
+        stride-1 conv with skipping on takes planes where its grid bytes per
+        weight one cost no more than its word pairs (costs above)."""
+        p = self.packed
+        if not (skip and p.kind == "conv3x3" and p.stride == 1):
+            return "popcount"
         self._prepare()
+        b, _, h, w = shape
+        hp, wp = h + 2 * p.padding, w + 2 * p.padding
+        grid = b * hp * wp * self._table.itemsize
+        adds = self._ones * (grid + PLANE_ADD_CALL_BYTES)
+        pairs = p.out_ch * b * (hp - 2) * (wp - 2) * self._words.shape[1]
+        return "planes" if adds <= WORD_PAIR_BYTES * pairs else "popcount"
+
+    def _decide(self, counts, ones, out):
+        """out (uint8, out x windows) = [counts >= T[r, ones]] XOR flip[r],
+        with ones each window's input ones: both paths' decision step."""
+        np.greater_equal(counts, self._table.take(ones, axis=1), out=out.view(np.bool_))
+        out ^= self._flip
+
+    def _popcount_bits(self, x_bits):
+        """Bits (out, windows) and window ones by AND+popcount over the
+        channel-packed windows, one slice of windows at a time."""
         p = self.packed
         b = x_bits.shape[0]
         conv = p.kind == "conv3x3"
@@ -392,31 +435,68 @@ class BinStage:
         del windows  # before the slices allocate theirs
         win_ones = _kernels.popcount_rows(win.T)
 
-        # the bit of each (row, window): its AND+popcount against the table
-        # entry for the window's ones, one slice of windows at a time
-        table = self._table
         bits = np.empty((p.out_ch, nwin), dtype=np.uint8)
         step = max(1, STAGE_SLICE_VALUES // p.out_ch)
         with _short_rows(step):
             for lo in range(0, nwin, step):
                 counts = _kernels.and_popcount_matmat(
-                    self._words, win[:, lo : lo + step].T, dtype=table.dtype
+                    self._words, win[:, lo : lo + step].T, dtype=self._table.dtype
                 )
-                np.greater_equal(
-                    counts, table.take(win_ones[lo : lo + step], axis=1),
-                    out=bits[:, lo : lo + step].view(np.bool_),
-                )
-        bits ^= self._flip
+                self._decide(counts, win_ones[lo : lo + step], bits[:, lo : lo + step])
+        return bits, win_ones, (b, ho, wo)
+
+    def _plane_bits(self, x_bits):
+        """Bits (out, windows) and window ones of a stride-1 conv. Tap (i, j)
+        of the window at index n of the flat padded grid is at n + i * Wp + j,
+        so a count sums shifted planes and the window ones shifted pixel
+        ones; the sums past the map's edge are garbage and dropped."""
+        p, dtype = self.packed, self._table.dtype
+        pad, b = p.padding, x_bits.shape[0]
+        planes = np.ascontiguousarray(x_bits.transpose(1, 0, 2, 3), dtype=dtype)
+        if pad:  # zero planes: bit 0 is -1, as window_bits pads
+            planes = np.pad(planes, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        hp, wp = planes.shape[2:]
+        n = b * hp * wp
+        span = n - 2 * wp - 2  # the last window starts before it
+
+        def valid(sums):  # (rows, n) grid sums -> (rows, windows)
+            return sums.reshape(-1, b, hp, wp)[:, :, : hp - 2, : wp - 2].reshape(len(sums), -1)
+
+        ch, i, j, rows = self._ones_at
+        counts = np.zeros((p.out_ch, n), dtype=dtype)
+        offsets = (ch * n + i * wp + j).tolist()
+        starts = [offsets[lo:hi] for lo, hi in rows]
+        _kernels.shifted_sums(planes.reshape(-1), starts, counts[:, :span])
+        pixel_ones = planes.sum(axis=0, dtype=np.min_scalar_type(p.fan_in)).reshape(-1)
+        ones = np.zeros((1, n), dtype=pixel_ones.dtype)
+        box = [[t // 3 * wp + t % 3 for t in range(9)]]  # the 9 tap shifts
+        _kernels.shifted_sums(pixel_ones, box, ones[:, :span])
+        counts, ones = valid(counts), valid(ones)[0]
+        bits = np.empty(counts.shape, dtype=np.uint8)
+        self._decide(counts, ones, bits)
+        return bits, ones, (b, hp - 2, wp - 2)
+
+    def forward(self, x_bits, counters: OpsCounters, skip: bool = True):
+        """The stage's output bits, as a (B, out, Ho, Wo) view of channel-first
+        planes for a conv and (B, out) for a linear stage, and q per window.
+        Counts by self.path: both paths give the same exact counts."""
+        x_bits = _require_bits(x_bits)
+        self._prepare()
+        p = self.packed
+        planes = self.path(x_bits.shape, skip) == "planes"
+        bits, ones, shape = (self._plane_bits if planes else self._popcount_bits)(x_bits)
+        conv, nwin = p.kind == "conv3x3", bits.shape[1]
         # the paper's count charges only Dense kernels; skip off charges every weight
         counted = 9 * p.kernel_counts[2] if skip and conv else p.weight_count
         counters.add_layer(
             self.label,
+            path="planes" if planes else "popcount",
             position_ops=2 * counted * nwin,
-            word_popcounts=p.out_ch * nwin * k,
+            word_popcounts=0 if planes else bits.size * self._words.shape[1],
             flops=int(3 * bits.size + bits.size),
         )
-        out = bits.reshape(p.out_ch, b, ho, wo).transpose(1, 0, 2, 3) if conv else bits.T
-        return out, 2 * win_ones - p.fan_in
+        out = bits.reshape(p.out_ch, *shape).transpose(1, 0, 2, 3) if conv else bits.T
+        return out, 2 * ones.astype(np.int64) - p.fan_in
 
 
 @dataclass
@@ -424,9 +504,10 @@ class FloatStage:
     """Full-precision conv or linear followed by fused batchnorm+sign.
     Consumes raw real inputs (the stem) or +-1 bits (mid-network). Forms the
     training layer's product (nn.Conv3x3: cols.T @ wf.T over nn._im2col's
-    windows; nn.Linear: x @ w.T) with the orientation o folded into the
-    weights: negation is exact, so channel c is o[c] times the training
-    output bit for bit, decided by one compare with o[c] * theta[c]."""
+    windows, padded with 0.0 as a full-precision conv is, also on bits;
+    nn.Linear: x @ w.T) with the orientation o folded into the weights:
+    negation is exact, so channel c is o[c] times the training output bit
+    for bit, decided by one compare with o[c] * theta[c]."""
 
     kind: str  # "conv3x3" | "linear"
     in_ch: int
@@ -455,7 +536,7 @@ class FloatStage:
             x = 2.0 * x - 1.0
         b, conv = x.shape[0], self.kind == "conv3x3"
         if conv:
-            cols, hw = _im2col(x, self.stride, self.padding, -1.0 if self.takes_bits else 0.0)
+            cols, hw = _im2col(x, self.stride, self.padding, 0.0)  # as nn.Conv3x3 pads it
             z = cols.T @ self._weight_o.T  # (B*P, out)
         else:
             z = x.reshape(b, -1) @ self._weight_o.T
@@ -579,8 +660,9 @@ def _batch(model, images):
 
 def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
     """Run the engine over a batch on the calling thread: (logits,
-    OpsCounters). `skip` picks only the position_ops convention: Dense
-    kernels alone (True) or every weight (False); both run the same words.
+    OpsCounters). `skip` picks the position_ops convention, Dense kernels
+    alone (True) or every weight (False), and lets BinStage.path count a
+    stride-1 conv by planes (True); the logits are the same either way.
     An empty batch, images of another shape than the model's input, or
     images holding NaN or infinite values are rejected with a
     ValidationError.
@@ -594,11 +676,13 @@ def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
     counters = OpsCounters()
     counters.images = images.shape[0]
     x = images
-    for stage in model.stages:
+    for i, stage in enumerate(model.stages):
+        counters.stage = f"s{i}_{stage.label}"  # walk_stages' name
         if isinstance(stage, BinStage):
             x, _ = stage.forward(x, counters, skip=skip)
         else:
             x = stage.forward(x, counters)
+    counters.stage = ""
     return x, counters
 
 

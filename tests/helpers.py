@@ -9,7 +9,7 @@ import contextlib
 
 import numpy as np
 
-from sbnn import _kernels, engine, nn
+from sbnn import engine, nn
 from sbnn.binquant import OmegaParams, ValidationError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -172,18 +172,16 @@ def channel_decide(threshold, z):
 def training_float_preact(stage, x):
     """A FloatStage's pre-activations as the training layer forms them,
     (B, out, Ho, Wo) for a conv and (B, out) for a linear stage: an
-    nn.Conv3x3 or nn.Linear holding the stage's weights. A stage that takes
-    bits runs on 2x - 1 with its -1 halo padded on beforehand, as the
-    layer's own padding would be 0 for a full-precision conv."""
+    nn.Conv3x3 or nn.Linear holding the stage's weights, padded as that
+    full-precision layer pads (with 0.0). A stage that takes bits runs on
+    2x - 1."""
     x = np.asarray(x, dtype=np.float64)
-    conv, pad = stage.kind == "conv3x3", stage.padding
+    conv = stage.kind == "conv3x3"
     if stage.takes_bits:
         x = 2.0 * x - 1.0
-        if conv:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-1.0)
-            pad = 0
     spec = nn.LayerSpec(
-        stage.kind, in_ch=stage.in_ch, out_ch=stage.out_ch, stride=stage.stride, padding=pad
+        stage.kind, in_ch=stage.in_ch, out_ch=stage.out_ch, stride=stage.stride,
+        padding=stage.padding,
     )
     layer = (nn.Conv3x3 if conv else nn.Linear)(spec, np.random.default_rng(0))
     layer.weight.value[...] = stage.weight
@@ -361,39 +359,39 @@ def int_preacts(bits, windows):
 def captured_preacts():
     """Within the block, collect the int64 (z', q) slices of every binary
     stage's forward, in call order, from what its threshold table compares:
-    the counts c of each `_kernels.and_popcount_matmat` call give
-    z' = 2c - w1, with w1 the stage's weight ones per row, and the window
-    ones x of the stage's `_kernels.popcount_rows` call give q = 2x - fan_in
-    for the slice's windows."""
+    `engine.BinStage._decide`, the one decision step that both counting
+    paths (AND+popcount and shifted planes) hand their counts c and window
+    ones x to. Each call gives z' = 2c - w1, with w1 the stage's weight ones
+    per row, and q = 2x - fan_in for the slice's windows."""
     slices = []
-    real_forward = engine.BinStage.forward
-    real_rows, real_matmat = _kernels.popcount_rows, _kernels.and_popcount_matmat
-    state = {}
+    real_decide = engine.BinStage._decide
 
-    def forward(stage, *args, **kwargs):
-        state["stage"] = stage
-        return real_forward(stage, *args, **kwargs)
-
-    def popcount_rows(words):
-        state["x"], state["lo"] = real_rows(words), 0
-        return state["x"]
-
-    def and_popcount_matmat(a, b, **kwargs):
-        counts = real_matmat(a, b, **kwargs)
-        p, lo = state["stage"].packed, state["lo"]
-        state["lo"] += counts.shape[1]
+    def decide(stage, counts, ones, out):
+        p = stage.packed
         w1 = p.bits.sum(axis=1, dtype=np.int64)[:, None]
-        x = state["x"][lo : state["lo"]]
-        slices.append((2 * counts.astype(np.int64) - w1, 2 * x.astype(np.int64) - p.fan_in))
-        return counts
+        slices.append(
+            (2 * counts.astype(np.int64) - w1, 2 * np.asarray(ones, dtype=np.int64) - p.fan_in)
+        )
+        return real_decide(stage, counts, ones, out)
 
-    engine.BinStage.forward = forward
-    _kernels.popcount_rows, _kernels.and_popcount_matmat = popcount_rows, and_popcount_matmat
+    engine.BinStage._decide = decide
     try:
         yield slices
     finally:
-        engine.BinStage.forward = real_forward
-        _kernels.popcount_rows, _kernels.and_popcount_matmat = real_rows, real_matmat
+        engine.BinStage._decide = real_decide
+
+
+@contextlib.contextmanager
+def planes_wherever_allowed():
+    """Within the block, every binary stage that may count by planes (a
+    stride-1 conv with skipping on) does, whatever BinStage.path's cost
+    comparison says: a word pair is priced at infinitely many byte adds."""
+    real = engine.WORD_PAIR_BYTES
+    engine.WORD_PAIR_BYTES = float("inf")
+    try:
+        yield
+    finally:
+        engine.WORD_PAIR_BYTES = real
 
 
 def forward_preacts(stage, x, counters, skip):

@@ -19,6 +19,7 @@ from helpers import (
     brute_force_omega,
     forward_preacts,
     int_preacts,
+    planes_wherever_allowed,
     quant_sq_loss,
 )
 
@@ -198,14 +199,18 @@ def test_criterion_5_engine_bit_exactness(announce):
                 fanin_max = max(fanin_max, stage.packed.fan_in)
                 windows, _ = stage.window_bits(x)
                 zprime_oracle, q_oracle = int_preacts(stage.packed.bits, windows)
-                # what forward computed, with skipping on and off
+                # what forward computed, with skipping on and off, and with
+                # every stride-1 conv counting by planes
                 bits_off, *off = forward_preacts(stage, x, engine.OpsCounters(), skip=False)
+                with planes_wherever_allowed():
+                    bits_planes, *planes = forward_preacts(stage, x, engine.OpsCounters(), True)
                 x, *on = forward_preacts(stage, x, counters, skip=True)
-                for zp, qq, q_ret in (on, off):
+                for zp, qq, q_ret in (on, off, planes):
                     assert np.array_equal(zp, zprime_oracle)
                     assert np.array_equal(qq, q_oracle)
                     assert np.array_equal(q_ret, q_oracle)
                 assert np.array_equal(x, bits_off)
+                assert np.array_equal(x, bits_planes)
             else:
                 x = stage.forward(x, counters)
         # skipping soundness on the full pipeline

@@ -1,20 +1,33 @@
-"""Channel-packed binary stages across every word width, stride and padding.
+"""Binary stages across every word width, stride and padding, on both
+counting paths: AND+popcount over channel-packed words and sums of shifted
+input planes.
 
 Each model is a float stem (1 -> in_ch channels), a binary 3x3 conv whose
 kernels mix Zero, Single and Dense, a binary linear stage and the head. The
 engine must match the dense float reference bit for bit with skipping on and
-off, and its counters must match the static ops report.
+off and with every stride-1 conv counting by planes, and its counters must
+match the static ops report.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sbnn import _kernels, engine, metrics
 from sbnn.binquant import OmegaParams
 
-from helpers import captured_preacts, forward_preacts, int_preacts, reference_pack
+from helpers import (
+    captured_preacts,
+    forward_preacts,
+    int_preacts,
+    planes_wherever_allowed,
+    reference_pack,
+)
 
 IMAGE_HW = 7
 CONV_OUT = 12
@@ -75,8 +88,9 @@ def _model(rng, in_ch, stride, padding, conv_bits):
 
 
 def _check_preactivations(model, images):
-    """Every binary stage's (z', q) from forward, skip on and off, against
-    int64 arithmetic over the reference's unpacked windows."""
+    """Every binary stage's (z', q) from forward, skip on and off and with
+    every stride-1 conv counting by planes, against int64 arithmetic over
+    the reference's unpacked windows."""
     x = images
     for stage in model.stages:
         if not isinstance(stage, engine.BinStage):
@@ -84,12 +98,17 @@ def _check_preactivations(model, images):
             continue
         windows, _ = stage.window_bits(x)
         zprime_oracle, q_oracle = int_preacts(stage.packed.bits, windows)
-        for skip in (True, False):
-            bits, zprime, q, q_ret = forward_preacts(stage, x, engine.OpsCounters(), skip)
+        outs = []
+        for skip, forced in ((True, False), (False, False), (True, True)):
+            forcing = planes_wherever_allowed() if forced else contextlib.nullcontext()
+            with forcing:
+                bits, zprime, q, q_ret = forward_preacts(stage, x, engine.OpsCounters(), skip)
             assert zprime.dtype == np.int64
             assert np.array_equal(zprime, zprime_oracle)
             assert np.array_equal(q, q_oracle)
             assert np.array_equal(q_ret, q_oracle)
+            outs.append(bits)
+        assert all(np.array_equal(bits, o) for o in outs)
         x = bits
 
 
@@ -99,13 +118,22 @@ def _check_against_reference(model, images):
     report = metrics.build_ops_report(model)
     on, c_on = engine.infer(model, images, skip=True)
     off, c_off = engine.infer(model, images, skip=False)
+    with planes_wherever_allowed():
+        planes, c_planes = engine.infer(model, images, skip=True)
     assert on.tobytes() == ref.tobytes()
     assert off.tobytes() == ref.tobytes()
+    assert planes.tobytes() == ref.tobytes()
     assert metrics.counters_match_report(c_on, report)
+    assert metrics.counters_match_report(c_planes, report)
     n = images.shape[0]
     assert c_on.flops == c_off.flops == report.totals["flops"] * n
     assert c_off.position_ops == report.totals["bops_bnn"] * n
-    assert c_on.word_popcounts == c_off.word_popcounts
+    # skip on runs the same word pairs as skip off, except none on a stage
+    # that counts by planes
+    assert [e.get("path") for e in c_off.per_layer].count("planes") == 0
+    for e_on, e_off in zip(c_on.per_layer, c_off.per_layer, strict=True):
+        planes = e_on.get("path") == "planes"
+        assert e_on.get("word_popcounts") == (0 if planes else e_off.get("word_popcounts"))
     assert c_on.gather_ops == c_off.gather_ops == 0
     return c_on, c_off
 
@@ -131,12 +159,15 @@ def test_all_zero_layer_matches_reference(in_ch):
     bits = np.zeros((CONV_OUT, in_ch * 9), dtype=np.uint8)
     model = _model(rng, in_ch, 1, 1, bits)
     images = rng.normal(size=(4, 1, IMAGE_HW, IMAGE_HW))
-    c_on, _ = _check_against_reference(model, images)
+    c_on, c_off = _check_against_reference(model, images)
+    # skip on counts by planes: no weight one, no add and no word pair
     conv = c_on.per_layer[1]
-    # every row runs all K words of each of the 4 * 7 * 7 windows
+    assert conv["path"] == "planes"
+    assert conv["word_popcounts"] == 0 and conv["position_ops"] == 0
+    # skip off runs all K words of each of the 4 * 7 * 7 windows in every row
     nbytes, nwords = WORDS[in_ch]
     k = -(-9 * nbytes * nwords // 8)
-    assert conv["word_popcounts"] == CONV_OUT * 4 * 7 * 7 * k and conv["position_ops"] == 0
+    assert c_off.per_layer[1]["word_popcounts"] == CONV_OUT * 4 * 7 * 7 * k
 
 
 def _counts(counters):
@@ -159,8 +190,8 @@ def test_slice_boundaries_match_reference(monkeypatch, in_ch, budget):
     whole = [_counts(engine.infer(model, images, skip=skip)[1]) for skip in (True, False)]
 
     monkeypatch.setattr(engine, "STAGE_SLICE_VALUES", budget)
-    with captured_preacts() as slices:
-        engine.infer(model, images)
+    with captured_preacts() as slices:  # skip off: every stage counts by popcount
+        engine.infer(model, images, skip=False)
     conv_step, linear_step = SLICINGS[budget]
     want = [(CONV_OUT, min(conv_step, 245 - lo)) for lo in range(0, 245, conv_step)]
     want += [(LINEAR_OUT, min(linear_step, 5 - lo)) for lo in range(0, 5, linear_step)]
@@ -182,6 +213,7 @@ def test_stage_forward_peak_memory_below_one_int64_zprime():
     stage = engine.BinStage(packed=layer, threshold=_threshold(rng, 32))
     x = rng.integers(0, 2, size=(256, 16, 14, 14), dtype=np.uint8)
     stage.forward(x[:1], engine.OpsCounters())  # weights packed outside the trace
+    assert stage.path(x.shape) == "planes"
     tracemalloc.start()
     try:
         stage.forward(x, engine.OpsCounters())
@@ -222,3 +254,137 @@ def test_pack_strided_channels_matches_packbits(in_ch):
     assert got.dtype == want.dtype and got.dtype.itemsize == WORDS[in_ch][0]
     assert got.shape == want.shape == (3, 5, 4, WORDS[in_ch][1])
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the plane path and the rule that picks it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batch", [1, 5, 256])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("in_ch", [1, 6, 8, 12, 16, 65])
+def test_plane_path_matches_popcount_and_reference(in_ch, padding, batch):
+    rng = np.random.default_rng([in_ch, padding, batch, 11])
+    model = _model(rng, in_ch, 1, padding, _mixed_kernels(rng, CONV_OUT, in_ch))
+    images = rng.normal(size=(batch, 1, IMAGE_HW, IMAGE_HW))
+    _check_against_reference(model, images)
+    stage, x = model.stages[1], model.stages[0].forward(images, engine.OpsCounters())
+    with planes_wherever_allowed():
+        counters = engine.OpsCounters()
+        planes, q_planes = stage.forward(x, counters)
+    popcount, q_popcount = stage.forward(x, engine.OpsCounters(), skip=False)
+    assert counters.per_layer[0]["path"] == "planes" and counters.word_popcounts == 0
+    assert planes.dtype == np.uint8 and np.array_equal(planes, popcount)
+    assert np.array_equal(q_planes, q_popcount)
+    # the next stage's channel-first planes are a free transpose
+    assert planes.transpose(1, 0, 2, 3).flags.c_contiguous
+
+
+def _conv_stage(rng, bits, in_ch, padding=0, stride=1):
+    out_ch = bits.shape[0]
+    layer = engine.PackedLayer(
+        kind="conv3x3", in_ch=in_ch, out_ch=out_ch, stride=stride, padding=padding,
+        bits=bits, omega=OmegaParams(tau=0.3, phi=0.05),
+    )
+    return engine.BinStage(packed=layer, threshold=_threshold(rng, out_ch))
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("most", [254, 255, 256])
+def test_plane_path_counts_past_a_byte(most, padding):
+    """Rows with 254, 255 and 256 weight ones, whose table is uint8 or
+    uint16, on the plane path directly: its bits against the popcount
+    path's and the float decision of the int64 oracle. An all-ones image
+    reaches every row's count."""
+    rng = np.random.default_rng([most, padding])
+    in_ch = 30  # fan_in 270
+    bits = np.zeros((6, in_ch * 9), dtype=np.uint8)
+    for r, n in enumerate([most, most, most - 1, 0, 1, 150]):
+        bits[r, rng.choice(in_ch * 9, size=n, replace=False)] = 1
+    stage = _conv_stage(rng, bits, in_ch, padding)
+    stage._prepare()
+    assert stage._table.dtype == (np.uint8 if most < 255 else np.uint16)
+    x = rng.integers(0, 2, size=(3, in_ch, 5, 6), dtype=np.uint8)
+    x[0], x[1] = 1, 0
+    got, ones, shape = stage._plane_bits(x)
+    want, ones_popcount, _ = stage._popcount_bits(x)
+    assert shape == (3, 3 + 2 * padding, 4 + 2 * padding)
+    assert np.array_equal(got, want) and np.array_equal(ones, ones_popcount)
+    windows, _ = stage.window_bits(x)
+    zprime, q = int_preacts(stage.packed.bits, windows)
+    assert zprime.max() == most  # the all-ones windows
+    decided = stage.threshold.decide(engine.affine_remap(zprime, q[None], stage.packed.omega))
+    assert np.array_equal(got, decided)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    in_ch=st.integers(1, 20),
+    out_ch=st.integers(1, 6),
+    batch=st.integers(1, 4),
+    hw=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    padding=st.integers(0, 2),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plane_path_property(in_ch, out_ch, batch, hw, padding, density, seed):
+    """Random stride-1 geometries: the plane path's (z', q) equal the int64
+    oracle's and its bits the popcount path's."""
+    h, w = (max(d, 3 - 2 * padding) for d in hw)
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((out_ch, in_ch * 9)) < density).astype(np.uint8)
+    stage = _conv_stage(rng, bits, in_ch, padding)
+    x = rng.integers(0, 2, size=(batch, in_ch, h, w), dtype=np.uint8)
+    with planes_wherever_allowed():
+        got, zprime, q, q_out = forward_preacts(stage, x, engine.OpsCounters(), skip=True)
+    want, _ = stage.forward(x, engine.OpsCounters(), skip=False)
+    windows, _ = stage.window_bits(x)
+    zprime_oracle, q_oracle = int_preacts(bits, windows)
+    assert np.array_equal(zprime, zprime_oracle)
+    assert np.array_equal(q, q_oracle) and np.array_equal(q_out, q_oracle)
+    assert np.array_equal(got, want)
+
+
+def _density_stage(rng, in_ch, out_ch, ones, stride=1):
+    bits = (rng.random((out_ch, in_ch * 9)) < ones).astype(np.uint8)
+    return _conv_stage(rng, bits, in_ch, stride=stride)
+
+
+class TestPathRule:
+    """BinStage.path on the benchmark workloads' stage shapes (B = 256)."""
+
+    def test_sparse16_stages_count_by_planes(self):
+        rng = np.random.default_rng(81)
+        first = _density_stage(rng, 16, 32, 0.05)
+        second = _density_stage(rng, 32, 32, 0.05)
+        assert first.path((256, 16, 14, 14)) == "planes"
+        assert second.path((256, 32, 12, 12)) == "planes"
+        # skip off always counts by popcount
+        assert first.path((256, 16, 14, 14), skip=False) == "popcount"
+
+    def test_dense_wide_stages_count_by_popcount(self):
+        rng = np.random.default_rng(82)
+        assert _density_stage(rng, 64, 128, 0.5).path((256, 64, 6, 6)) == "popcount"
+        assert _density_stage(rng, 128, 128, 0.5).path((256, 128, 4, 4)) == "popcount"
+
+    def test_strided_and_linear_stages_count_by_popcount(self):
+        rng = np.random.default_rng(83)
+        strided = _density_stage(rng, 16, 32, 0.0, stride=2)
+        assert strided.path((256, 16, 14, 14)) == "popcount"
+        linear = engine.PackedLayer(
+            kind="linear", in_ch=64, out_ch=8, stride=1, padding=0,
+            bits=np.zeros((8, 64), dtype=np.uint8), omega=OmegaParams(tau=0.3, phi=0.05),
+        )
+        assert engine.BinStage(linear, _threshold(rng, 8)).path((256, 64)) == "popcount"
+
+    def test_all_zero_layer_runs_no_word_pair(self):
+        rng = np.random.default_rng(84)
+        stage = _density_stage(rng, 16, 32, 0.0)
+        x = rng.integers(0, 2, size=(2, 16, 5, 5), dtype=np.uint8)
+        counters = engine.OpsCounters()
+        stage.forward(x, counters)
+        assert stage.path(x.shape) == "planes"
+        assert counters.per_layer == [
+            {"layer": "bin_conv3x3", "path": "planes", "position_ops": 0,
+             "word_popcounts": 0, "flops": 4 * 32 * 2 * 3 * 3}
+        ]

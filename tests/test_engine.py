@@ -11,9 +11,8 @@ from helpers import (
     forward_preacts,
     golden_model,
     int_preacts,
+    planes_wherever_allowed,
     reference_affine_remap,
-    reference_conv_forward,
-    reference_conv_im2col,
     reference_decide,
     reference_decide_channel,
     tied_threshold,
@@ -282,15 +281,19 @@ class TestEngineBitExactness:
             if isinstance(stage, engine.BinStage):
                 windows, out_hw = stage.window_bits(x)
                 zprime_oracle, q_oracle = int_preacts(stage.packed.bits, windows)
-                # what forward computed, with skipping on and off
+                # what forward computed, with skipping on and off, and with
+                # every stride-1 conv counting by planes
                 bits_off, *off = forward_preacts(stage, x, engine.OpsCounters(), skip=False)
+                with planes_wherever_allowed():
+                    bits_planes, *planes = forward_preacts(stage, x, engine.OpsCounters(), True)
                 x, *on = forward_preacts(stage, x, counters, skip=True)
-                for zp, qq, q_ret in (on, off):
+                for zp, qq, q_ret in (on, off, planes):
                     assert zp.dtype == np.int64
                     assert np.array_equal(zp, zprime_oracle)
                     assert np.array_equal(qq, q_oracle)
                     assert np.array_equal(q_ret, q_oracle)
                 assert np.array_equal(x, bits_off)
+                assert np.array_equal(x, bits_planes)
             else:
                 x = stage.forward(x, counters)
 
@@ -376,9 +379,16 @@ class TestEngineBitExactness:
         x = np.random.default_rng(0).integers(0, 2, size=(3, 2, 5, 5)).astype(np.uint8)
         out, zprime, q, _ = forward_preacts(stage, x, counters, skip=True)
         assert zprime.shape == (4, 3 * 3 * 3) and np.all(zprime == 0)
+        # skip on counts by planes: no word pair; skip off runs
         # 4 rows x 27 windows x K = 2 words (9 taps of one byte each)
-        assert counters.word_popcounts == 4 * 27 * 2
+        assert counters.per_layer[0]["path"] == "planes"
+        assert counters.word_popcounts == 0
         assert counters.position_ops == 0
+        off = engine.OpsCounters()
+        out_off, zprime_off, q_off, _ = forward_preacts(stage, x, off, skip=False)
+        assert off.word_popcounts == 4 * 27 * 2
+        assert np.array_equal(out_off, out) and np.array_equal(zprime_off, zprime)
+        assert np.array_equal(q_off, q)
         # output decided purely by the alpha * q path
         z = engine.affine_remap(np.zeros_like(q), q, om)
         assert np.array_equal(out[:, 0].ravel(), thr.decide(z[None, :])[0])
@@ -433,6 +443,30 @@ class TestEngineBitExactness:
             engine.reference_forward(model, images)
 
 
+class TestPerLayerEntries:
+    @pytest.mark.parametrize("skip", [True, False])
+    @pytest.mark.parametrize("batch", [1, 256])
+    def test_names_follow_walk_stages_and_paths_the_rule(self, batch, skip):
+        """infer's per-layer entries carry walk_stages' names (the pool
+        records none), and each binary stage's path is BinStage.path's for
+        its input. The golden conv counts by planes at 256 images with
+        skipping on, and by popcount otherwise."""
+        model = golden_model()
+        images = np.random.default_rng(64).normal(size=(batch, 1, 8, 8))
+        _, counters = engine.infer(model, images, skip=skip)
+        walked = engine.walk_stages(model.stages, model.input_shape)
+        recorded = [(name, stage) for (name, _), stage in zip(walked, model.stages)
+                    if not isinstance(stage, engine.BitPool)]
+        assert [e["layer"] for e in counters.per_layer] == [name for name, _ in recorded]
+        shapes = [tuple(model.input_shape)] + [shape for _, shape in walked]
+        paths = [
+            stage.path((batch,) + shapes[i], skip)
+            for i, stage in enumerate(model.stages) if isinstance(stage, engine.BinStage)
+        ]
+        assert [e["path"] for e in counters.per_layer if "path" in e] == paths
+        assert paths == (["planes", "popcount"] if batch == 256 and skip else ["popcount"] * 2)
+
+
 class TestPoolAndFloatStageOnBits:
     """The bit pool and a full-precision stage fed by the stage before it,
     which no quick-start model has, against the training layers' math."""
@@ -449,23 +483,53 @@ class TestPoolAndFloatStageOnBits:
             engine.BitPool().forward(np.zeros((1, 1, 3, 4), dtype=np.uint8), engine.OpsCounters())
 
     @pytest.mark.parametrize("stride, padding", [(1, 0), (1, 1), (2, 2)])
-    def test_float_conv_on_bits_pads_with_minus_one(self, stride, padding):
+    def test_float_conv_on_bits_pads_as_training_does(self, stride, padding):
+        """A full-precision conv on bits pads its +-1 input with 0.0, as
+        nn.Conv3x3 pads a full-precision layer, not with -1 (bit 0)."""
         rng = np.random.default_rng(62)
         bits = rng.integers(0, 2, size=(3, 2, 7, 6)).astype(np.uint8)
         weight = rng.normal(size=(4, 2, 3, 3))
-        cols, geom = reference_conv_im2col(2.0 * bits - 1.0, stride, padding, -1.0)
-        want = reference_conv_forward(weight.reshape(4, -1), cols, geom)
-        threshold = tied_threshold(want, rng)
         stage = engine.FloatStage(
             kind="conv3x3", in_ch=2, out_ch=4, stride=stride, padding=padding,
-            weight=weight, threshold=threshold, takes_bits=True,
+            weight=weight, threshold=None, takes_bits=True,
         )
+        want = training_float_preact(stage, bits)
+        stage.threshold = threshold = tied_threshold(want, rng)
         counters = engine.OpsCounters()
         out = stage.forward(bits, counters)
         assert out.dtype == np.uint8
         assert np.array_equal(out, channel_decide(threshold, want))
         # 2 per MAC of every output position of the batch, 1 per threshold compare
         assert counters.flops == 2 * weight.size * (want.size // 4) + want.size
+
+    def test_padded_float_conv_after_sign_matches_the_network(self):
+        """Stem, sign, a padding-1 full-precision conv, then the classifier:
+        the quantized model's logits equal the eval-mode network's."""
+        from sbnn.train import quantize_network
+
+        spec = (
+            nn.LayerSpec("conv3x3", in_ch=1, out_ch=3),
+            nn.LayerSpec("batchnorm", out_ch=3),
+            nn.LayerSpec("signact"),
+            nn.LayerSpec("conv3x3", in_ch=3, out_ch=4, padding=1),
+            nn.LayerSpec("batchnorm", out_ch=4),
+            nn.LayerSpec("signact"),
+            nn.LayerSpec("flatten"),
+            nn.LayerSpec("classifier", in_ch=4 * 6 * 6, out_ch=3, bias=True),
+        )
+        rng = np.random.default_rng(63)
+        net = nn.Network(spec, rng)
+        for layer in net.layers:
+            if isinstance(layer, nn.BatchNorm):
+                c = layer.running_mean.size
+                layer.running_mean[...] = rng.normal(0, 0.5, size=c)
+                layer.running_var[...] = rng.uniform(0.2, 1.5, size=c)
+        model = quantize_network(net, (1, 8, 8), 3)
+        assert [type(s) for s in model.stages] == [engine.FloatStage] * 2 + [engine.Head]
+        assert model.stages[1].takes_bits and model.stages[1].padding == 1
+        images = rng.normal(size=(32, 1, 8, 8))
+        logits, _ = engine.infer(model, images)
+        assert np.array_equal(logits, net.forward(images, train=False))
 
 
 def _float_stage(kind, in_ch, out_ch, rng, z_of, x, stride=1, padding=0, takes_bits=False):

@@ -3,6 +3,7 @@ weight quantization with a closed-form fit, and an integer-only inference
 engine (popcounts or shifted-plane sums) with exact operation accounting."""
 
 from .binquant import (
+    DataError,
     DegenerateSignError,
     OmegaParams,
     QuantStats,

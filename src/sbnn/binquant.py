@@ -22,6 +22,11 @@ class ValidationError(ValueError):
     """Input violates a documented precondition."""
 
 
+class DataError(ValidationError):
+    """A file, dataset or batch whose contents cannot be used. The command
+    line exits 3 for one, and 2 for any other ValidationError."""
+
+
 class DegenerateSignError(ValidationError):
     """Sign vector is constant (p in {0, 1}); the closed form has no solution."""
 
@@ -47,12 +52,11 @@ def sign_binarize(w):
 
 
 def ste_gradient(upstream, w_latent):
-    """Clipped straight-through gradient: pass `upstream` where the latent
-    weight is in [-1, 1] (inclusive), zero elsewhere. Works elementwise on
-    arrays and on scalars."""
-    up = np.asarray(upstream, dtype=np.float64)
-    w = np.asarray(w_latent, dtype=np.float64)
-    out = np.where(np.abs(w) <= 1.0, up, 0.0)
+    """Clipped straight-through gradient: `upstream * (|w| <= 1)`, which
+    passes `upstream` where the latent value is in [-1, 1] (inclusive) and
+    zeroes it elsewhere; a NaN or infinite upstream at a clipped value gives
+    NaN. Works elementwise on arrays and on scalars."""
+    out = np.asarray(upstream, dtype=np.float64) * (np.abs(w_latent) <= 1.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -62,12 +66,6 @@ def signs_to_bits(wb):
     """{-1,+1} -> {0,1} via bit = (sign + 1) / 2."""
     wb = np.asarray(wb)
     return ((wb + 1) // 2).astype(np.uint8)
-
-
-def bits_to_signs(bits):
-    """{0,1} -> {-1,+1}; exact inverse of signs_to_bits."""
-    bits = np.asarray(bits)
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
 @dataclass(frozen=True)

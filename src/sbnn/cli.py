@@ -18,12 +18,11 @@ import sys
 import numpy as np
 
 from . import dataio, metrics, modelio
-from .binquant import ValidationError, sign_binarize, quant_stats
+from .binquant import DataError, ValidationError, sign_binarize, quant_stats
 from .engine import BinStage, infer, reference_forward, walk_stages
-from .nn import Network, conv_net_spec, mlp_spec
+from .nn import Network, conv_net_spec, declared_values, mlp_spec
 from .sparsity import binary_entropy
 from .train import (
-    SnapshotError,
     TrainConfig,
     TrainingDiverged,
     load_snapshot,
@@ -39,14 +38,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-DATA_ERRORS = (
-    dataio.SizeMismatch,
-    dataio.LabelOutOfRange,
-    dataio.BadMagic,
-    dataio.CountMismatch,
-    modelio.ModelFileError,
-    SnapshotError,
-)
+# the most float64 values a synthetic dataset's images, or a network's
+# declared weights, may hold (128 MB each); checked before either allocates
+MAX_DECLARED_VALUES = 1 << 24
+
+
+def _check_size(what, values):
+    if values > MAX_DECLARED_VALUES:
+        raise ValidationError(f"{what} declares {values} float64 values, above {MAX_DECLARED_VALUES}")
 
 
 def _build_parser():
@@ -148,6 +147,7 @@ def _apply_config_file(parser, argv):
 
 def _load_dataset(args):
     if args.synthetic:
+        _check_size("the synthetic dataset", args.samples * args.image_hw**2)
         return dataio.synthetic_classification(
             seed=args.seed,
             n=args.samples,
@@ -209,6 +209,7 @@ def cmd_train(args) -> int:
             omega_mode=args.omega,
         )
         images = ds.images
+    _check_size("the network", declared_values(spec))
     net = Network(spec, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
     report = train(net, (images, ds.labels), cfg)
     input_shape = images.shape[1:] if args.arch == "conv" else (images.shape[1],)
@@ -246,11 +247,7 @@ def cmd_eval(args) -> int:
     images = ds.images
     if len(model.input_shape) == 1:
         images = images.reshape(ds.count, -1)
-    try:
-        logits, counters = infer(model, images)
-    except ValidationError as exc:  # input/model mismatch is a data problem
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    logits, counters = infer(model, images)
     ref = reference_forward(model, images)
     pred = np.argmax(logits, axis=1)
     acc = float(np.mean(pred == ds.labels))
@@ -328,10 +325,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:  # a path that cannot be read or written
+    except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValidationError as exc:

@@ -12,22 +12,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binquant import ValidationError
+from .binquant import DataError, ValidationError
 
 
-class SizeMismatch(ValidationError):
+class SizeMismatch(DataError):
     pass
 
 
-class LabelOutOfRange(ValidationError):
+class LabelOutOfRange(DataError):
     pass
 
 
-class BadMagic(ValidationError):
+class BadMagic(DataError):
     pass
 
 
-class CountMismatch(ValidationError):
+class CountMismatch(DataError):
     pass
 
 
@@ -43,7 +43,7 @@ class Dataset:
         if self.images.shape[0] != self.labels.shape[0]:
             raise CountMismatch("image/label counts differ")
         if self.images.shape[0] < 1:
-            raise ValidationError("empty dataset")
+            raise DataError("empty dataset")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
             raise LabelOutOfRange(
                 f"labels outside [0, {self.classes})"
@@ -56,16 +56,6 @@ class Dataset:
     @property
     def image_shape(self) -> tuple:
         return tuple(self.images.shape[1:])
-
-    def split(self, val_fraction: float, seed: int = 0):
-        """Deterministic train/val split."""
-        n_val = int(round(self.count * val_fraction))
-        order = np.random.default_rng(seed).permutation(self.count)
-        val_ix, train_ix = order[:n_val], order[n_val:]
-        mk = lambda ix: Dataset(
-            self.images[ix], self.labels[ix], self.classes, self.mean, self.std
-        )
-        return mk(train_ix), mk(val_ix)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +135,11 @@ def load_idx(images_path, labels_path, classes=None) -> Dataset:
         raise CountMismatch(
             f"{imgs.shape[0]} images vs {labels.shape[0]} labels"
         )
+    if labels.size < 1:
+        raise DataError("empty dataset")
     if classes is None:
-        classes = int(labels.max()) + 1 if labels.size else 1
-    x = imgs.astype(np.float64)[:, None, :, :] / 255.0
-    mean = np.array([x.mean()])
-    std = np.array([max(x.std(), 1e-8)])
-    x = (x - mean) / std
+        classes = int(labels.max()) + 1
+    x, mean, std = _standardized(imgs.astype(np.float64)[:, None, :, :] / 255.0)
     return Dataset(x, labels, classes, mean=mean, std=std)
 
 
@@ -173,6 +162,11 @@ def write_idx_labels(path, labels):
 # synthetic data
 # ---------------------------------------------------------------------------
 
+# far above any useful noise level, and far below where the generated values'
+# squares (in the standard deviation) overflow float64
+MAX_DIFFICULTY = 1e6
+
+
 def synthetic_classification(
     seed: int,
     n: int,
@@ -184,18 +178,25 @@ def synthetic_classification(
     """Gaussian-blob image dataset. Each class gets a fixed random pattern;
     samples are the pattern plus noise scaled by `difficulty` (0 gives an
     essentially noise-free, linearly separable problem)."""
+    if classes < 1 or image_hw < 1:
+        raise ValidationError(f"classes = {classes}, image_hw = {image_hw}: both must be >= 1")
     if n < classes:
         raise ValidationError("need at least one sample per class")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    if not 0.0 <= difficulty <= MAX_DIFFICULTY:
+        raise ValidationError(f"difficulty = {difficulty} outside [0, {MAX_DIFFICULTY:g}]")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     protos = rng.normal(0.0, 1.0, size=(classes, channels, image_hw, image_hw))
     labels = np.arange(n, dtype=np.int64) % classes
     noise_scale = 0.05 + float(difficulty)
     noise = rng.normal(0.0, noise_scale, size=(n, channels, image_hw, image_hw))
-    images = protos[labels] + noise
-    mean = np.array([images.mean()])
-    std = np.array([max(images.std(), 1e-8)])
-    images = (images - mean) / std
+    images, mean, std = _standardized(protos[labels] + noise)
     order = rng.permutation(n)
     return Dataset(images[order], labels[order], classes, mean=mean, std=std)
+
+
+def _standardized(images):
+    """(images, mean, std): `images` shifted and scaled to zero mean and unit
+    standard deviation over all values, and the two constants used."""
+    mean = np.array([images.mean()])
+    std = np.array([max(images.std(), 1e-8)])
+    return (images - mean) / std, mean, std

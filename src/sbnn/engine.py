@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .binquant import OmegaParams, ValidationError
+from .binquant import DataError, OmegaParams, ValidationError
 from .nn import MAX_CONV_PADDING, _im2col, _window_rows
 
 
@@ -641,20 +641,18 @@ def walk_stages(stages, input_shape):
 
 def _batch(model, images):
     """The images as a float64 (B, C, H, W) batch (one (C, H, W) image gets a
-    batch axis). Raises a ValidationError unless the batch holds at least one
+    batch axis). Raises a DataError unless the batch holds at least one
     image, each image has the model's input shape and every value is
     finite."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
     if images.shape[1:] != tuple(model.input_shape):
-        raise ValidationError(
-            f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}"
-        )
+        raise DataError(f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}")
     if images.shape[0] == 0:
-        raise ValidationError("the batch holds no images")
+        raise DataError("the batch holds no images")
     if not np.isfinite(images).all():
-        raise ValidationError("images hold NaN or infinite values")
+        raise DataError("images hold NaN or infinite values")
     return images
 
 
@@ -664,8 +662,7 @@ def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
     alone (True) or every weight (False), and lets BinStage.path count a
     stride-1 conv by planes (True); the logits are the same either way.
     An empty batch, images of another shape than the model's input, or
-    images holding NaN or infinite values are rejected with a
-    ValidationError.
+    images holding NaN or infinite values are rejected with a DataError.
 
     `workers` is accepted only as None: perfbench/test_bench.py still passes
     it through. Any other value raises a ValidationError, so no caller that
@@ -729,5 +726,5 @@ def reference_forward(model: QuantizedModel, images):
 def _require_bits(x):
     arr = np.asarray(x)
     if arr.dtype != np.uint8:
-        raise ValidationError("binary stage fed non-bit activations")
+        raise DataError("binary stage fed non-bit activations")
     return arr

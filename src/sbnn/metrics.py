@@ -200,9 +200,8 @@ def build_ops_report(model: QuantizedModel, ec: float | None = None) -> OpsRepor
     report.totals = _columns(total)
     report.totals["ops_total"] = ops_total(total["bops_sbnn"], total["flops"])
     use_ec = ec if ec is not None else report.totals["ones_frac"]
-    if use_ec and use_ec > 0:
-        report.totals["ec"] = use_ec
-        report.totals["gain_2_over_ec"] = gain_estimate(use_ec)
+    if ec is not None or use_ec > 0:  # an explicit ec outside (0, 1] raises
+        report.totals.update(ec=use_ec, gain_2_over_ec=gain_estimate(use_ec))
     return report
 
 

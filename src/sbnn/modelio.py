@@ -42,7 +42,7 @@ import zlib
 
 import numpy as np
 
-from .binquant import OmegaParams, ValidationError
+from .binquant import DataError, OmegaParams, ValidationError
 from .engine import (
     KERNEL_DENSE,
     KERNEL_SINGLE,
@@ -77,7 +77,7 @@ WEIGHTED_TAGS = {
 _TAG_OF = {kinds: tag for tag, kinds in WEIGHTED_TAGS.items()}
 
 
-class ModelFileError(ValidationError):
+class ModelFileError(DataError):
     """A model file that cannot be decoded into a runnable model."""
 
 

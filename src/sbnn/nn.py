@@ -20,10 +20,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binquant import (
+    PM1_DOMAIN,
     OmegaParams,
     ValidationError,
     fit_omega,
     sign_binarize,
+    ste_gradient,
 )
 
 OMEGA_MODES = ("pm1", "analytic", "learned")
@@ -36,10 +38,6 @@ def _binarize(x, relaxed):
     if relaxed:
         return np.clip(x, -1.0, 1.0)
     return (x >= 0.0) * 2.0 - 1.0
-
-
-def _ste_mask(x):
-    return (np.abs(x) <= 1.0).astype(np.float64)
 
 
 @dataclass
@@ -77,6 +75,12 @@ class LayerSpec:
 
 
 NetworkSpec = tuple  # tuple of LayerSpec, in forward order
+
+
+def declared_values(spec) -> int:
+    """One per weight, or per channel of a layer without weights: Network(spec)
+    allocates a few float64 values per declared value."""
+    return sum(max(ls.weight_count, ls.out_ch) for ls in spec)
 
 
 class Parameter:
@@ -144,7 +148,7 @@ class _WeightedLayer(Layer):
             raise ValidationError("full-precision layer has no weight domain")
         mode = self.spec.omega_mode
         if mode == "pm1":
-            return OmegaParams(tau=1.0, phi=0.0)
+            return PM1_DOMAIN
         if mode == "learned":
             return OmegaParams(tau=float(self.tau.value), phi=float(self.phi.value))
         w = self.weight.value.ravel()
@@ -170,7 +174,7 @@ class _WeightedLayer(Layer):
         if self.tau is not None:
             self.tau.grad += np.sum(d_eff * wb)
             self.phi.grad += np.sum(d_eff)
-        self.weight.grad += tau * d_eff * _ste_mask(w)
+        self.weight.grad += ste_gradient(tau * d_eff, w)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +277,11 @@ class Conv3x3(_WeightedLayer):
         input_grad is False. The products are the ones the einsums
         "bop,bfp->of" and "of,bop->bfp" form, operands laid out alike."""
         cols, wf, x_shape = self._cache
+        self._cache = None
         b, o = x_shape[0], wf.shape[0]
         g = grad_out.reshape(b, o, -1).transpose(0, 2, 1).reshape(-1, o)  # (B*P, O)
         d_wf = (cols @ g).T
+        del cols  # the windows go before the input gradient's arrays are built
         self.backward_weight(d_wf.reshape(self.weight.value.shape))
         if not input_grad:
             return None
@@ -381,7 +387,7 @@ class SignAct(Layer):
         return _binarize(x, relaxed)
 
     def backward(self, grad_out):
-        return grad_out * _ste_mask(self._cache)
+        return ste_gradient(grad_out, self._cache)
 
 
 class MaxPool2x2(Layer):
@@ -495,9 +501,6 @@ class Network:
             for l in self.layers
             if isinstance(l, _WeightedLayer) and l.spec.binarized
         ]
-
-    def binarized_weight_count(self) -> int:
-        return sum(l.weight.value.size for l in self.binarized_layers())
 
     def concat_sign_weights(self):
         """Sign weights of every binarized layer, concatenated; the penalty

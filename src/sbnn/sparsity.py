@@ -60,16 +60,6 @@ class SparsityBudget:
     m: float
     ec: float
 
-    @classmethod
-    def from_ec(cls, ec: float, n: int) -> "SparsityBudget":
-        """Budget entered directly as an EC fraction (e.g. from a target
-        sparsity s via ec = 1 - s)."""
-        if not 0.0 <= ec <= 0.5:
-            raise ValidationError(f"ec = {ec} outside [0, 1/2]")
-        if n < 1:
-            raise ValidationError("n must be >= 1")
-        return cls(h_star=binary_entropy(ec), n=n, p_star=ec, m=n * ec, ec=ec)
-
 
 def make_budget(h_star: float, n: int) -> SparsityBudget:
     if n < 1:

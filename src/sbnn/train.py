@@ -17,12 +17,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .binquant import (
+    PM1_DOMAIN,
+    DataError,
     OmegaParams,
     ValidationError,
     canonicalize_with_bits,
     fit_omega,
     sign_binarize,
     signs_to_bits,
+    ste_gradient,
 )
 from .engine import (
     BinStage,
@@ -44,6 +47,7 @@ from .nn import (
     Network,
     SignAct,
     _WeightedLayer,
+    declared_values,
     softmax_cross_entropy,
 )
 from .sparsity import inverse_binary_entropy, lambda_update, penalty_j
@@ -53,7 +57,7 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite; aborted with diagnostics."""
 
 
-class SnapshotError(ValidationError):
+class SnapshotError(DataError):
     """A snapshot file that does not hold the network its spec declares."""
 
 
@@ -78,6 +82,8 @@ class TrainConfig:
             raise ValidationError("target_sparsity outside [0, 1)")
         if self.h_star is not None and not 0.0 <= self.h_star <= 1.0:
             raise ValidationError("h_star outside [0, 1]")
+        if self.h_star is not None and self.target_sparsity is not None:
+            raise ValidationError("set one budget: target_sparsity or h_star")
 
     @property
     def ec(self) -> float:
@@ -163,8 +169,7 @@ def sbnn_step(network: Network, xb, yb, gamma, ec):
     if lam > 0.0 and j > 0.0:
         n_total = wb.size
         for layer in network.binarized_layers():
-            w = layer.weight.value
-            layer.weight.grad += (lam / (2.0 * n_total)) * (np.abs(w) <= 1.0)
+            layer.weight.grad += ste_gradient(lam / (2.0 * n_total), layer.weight.value)
     return loss, j, lam
 
 
@@ -175,7 +180,9 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None) -> TrainReport:
     returns an empty report."""
     images, labels = dataset
     if images.shape[0] < 1:
-        raise ValidationError("empty dataset")
+        raise DataError("empty dataset")
+    if not np.isfinite(images).all():
+        raise DataError("images hold NaN or infinite values")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     opt = Adam(network.params())
     report = TrainReport()
@@ -212,7 +219,8 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None) -> TrainReport:
             j=last_j,
             **{"lambda": last_lam},
             ones_fraction=network.ones_fraction(),
-            accuracy=evaluate(network, vx, vy),
+            # in the steps' slices: evaluation never holds more images at once
+            accuracy=evaluate(network, vx, vy, cfg.batch_size),
             best_loss=best_loss,
         )
     return report
@@ -281,9 +289,8 @@ def restore_network(snap: Snapshot) -> Network:
     """The network the snapshot's spec declares, holding the stored values.
     Raises a SnapshotError unless the snapshot stores exactly the float64
     arrays, of exactly the shapes, that the spec declares."""
-    # Network(spec) allocates a few values per weight, or per channel of a layer
-    # without weights: this bounds what a crafted spec can make it allocate
-    declared = sum(max(ls.weight_count, ls.out_ch) for ls in snap.spec)
+    # bounds what a crafted spec can make Network(spec) allocate
+    declared = declared_values(snap.spec)
     stored = sum(a.size for a in (*snap.params.values(), *snap.buffers.values()))
     if declared > stored:
         raise SnapshotError(f"spec declares {declared} values, snapshot stores {stored}")
@@ -351,7 +358,7 @@ def _layer_omega_and_bits(layer: _WeightedLayer, mode: str):
     wb = sign_binarize(w)
     bits = signs_to_bits(wb)
     if mode == "pm1":
-        return OmegaParams(tau=1.0, phi=0.0), bits
+        return PM1_DOMAIN, bits
     if mode == "analytic":
         om = fit_omega(w, wb)
     elif mode == "learned":

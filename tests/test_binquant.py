@@ -52,12 +52,17 @@ class TestSteGradient:
         w = np.array([0.0, -2.0, 0.99])
         assert bq.ste_gradient(up, w).tolist() == [1.0, 0.0, 3.0]
 
+    def test_nonfinite_upstream_at_a_clipped_weight_is_nan(self):
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = bq.ste_gradient(np.array([np.inf, np.nan, np.inf]), np.array([2.0, 0.0, 0.5]))
+        assert np.isnan(out[0]) and np.isnan(out[1]) and out[2] == np.inf
+
 
 class TestBitsSigns:
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200))
     def test_round_trip(self, signs):
         wb = np.array(signs, dtype=np.int8)
-        assert np.array_equal(bq.bits_to_signs(bq.signs_to_bits(wb)), wb)
+        assert np.array_equal(2 * bq.signs_to_bits(wb).astype(np.int8) - 1, wb)
 
     def test_bit_is_half_sign_plus_one(self):
         wb = np.array([1, -1, -1, 1], dtype=np.int8)

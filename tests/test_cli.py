@@ -12,13 +12,23 @@ import numpy as np
 import pytest
 
 from helpers import golden_model
-from sbnn import dataio, engine, modelio
+from sbnn import cli, dataio, engine, modelio, nn
+from sbnn.binquant import DataError, DegenerateSignError, ValidationError
 from sbnn.cli import main
-from sbnn.train import TrainReport, load_snapshot
+from sbnn.train import SnapshotError, TrainReport, load_snapshot
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def _with_nan_pixel(**kwargs):
+    ds = _SYNTHETIC(**kwargs)
+    ds.images[0, 0, 0, 0] = np.nan
+    return ds
+
+
+_SYNTHETIC = dataio.synthetic_classification
 
 
 @pytest.fixture(scope="module")
@@ -139,17 +149,21 @@ class TestQuantizeEvalBenchInspect:
         )
         assert code == 3
 
-    def test_eval_nonfinite_images_is_data_error(self, trained_run, tmp_path, capsys):
+    def test_eval_nonfinite_images_is_data_error(
+        self, trained_run, tmp_path, capsys, monkeypatch
+    ):
         model_path = tmp_path / "m.sbnn"
         assert run_cli(
             ["quantize", "--snapshot", str(trained_run / "snapshot.npz"),
              "--out", str(model_path)]
         ) == 0
         capsys.readouterr()
-        # a NaN noise scale makes every synthetic image NaN
+        # no dataset flag yields a NaN pixel (a NaN --difficulty is a config
+        # error), so the generator's output gets one
+        monkeypatch.setattr(dataio, "synthetic_classification", _with_nan_pixel)
         code = run_cli(
             ["eval", "--model", str(model_path), "--synthetic", "--samples", "16",
-             "--image-hw", "8", "--seed", "7", "--difficulty", "nan"]
+             "--image-hw", "8", "--seed", "7"]
         )
         assert code == 3
         err = capsys.readouterr().err
@@ -763,3 +777,109 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "done:" in out.stdout
+
+
+class TestErrorClassPicksExitCode:
+    """cli.main exits 3 for any DataError and 2 for any other
+    ValidationError, with one line on stderr either way."""
+
+    DATA_ERRORS = [
+        dataio.SizeMismatch, dataio.LabelOutOfRange, dataio.BadMagic, dataio.CountMismatch,
+        modelio.ModelFileError, modelio.BadMagic, modelio.BadVersion, modelio.CrcMismatch,
+        modelio.TruncatedStream, SnapshotError, DataError,
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, code",
+        [(cls, 3) for cls in DATA_ERRORS] + [(ValidationError, 2), (DegenerateSignError, 2)],
+        ids=lambda v: v.__qualname__ if isinstance(v, type) else str(v),
+    )
+    def test_raised_class(self, monkeypatch, capsys, cls, code):
+        assert issubclass(cls, DataError) == (code == 3)
+
+        def fail(args):
+            raise cls("bad input")
+
+        monkeypatch.setitem(cli._COMMANDS, "bench", fail)
+        assert run_cli(["bench", "--model", "m.sbnn"]) == code
+        assert capsys.readouterr().err == "error: bad input\n"
+
+    def test_empty_dataset_is_a_data_error(self, tmp_path, capsys):
+        # it exited 2, as a configuration error, while its class was ValidationError
+        ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
+        dataio.write_idx_images(ipath, np.zeros((0, 8, 8), dtype=np.uint8))
+        dataio.write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                ["train", "--idx-images", str(ipath), "--idx-labels", str(lpath),
+                 "--epochs", "1", "--out", str(tmp_path / "r")]
+            )
+        assert code == 3
+        assert capsys.readouterr().err == "error: empty dataset\n"
+
+    def test_train_on_nonfinite_images_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dataio, "synthetic_classification", _with_nan_pixel)
+        code = run_cli(
+            ["train", "--synthetic", "--samples", "16", "--epochs", "1", "--width", "4",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: images hold NaN or infinite values\n"
+        assert not (tmp_path / "r" / "snapshot.npz").exists()
+
+
+class TestBadInput:
+    """Bad input exits with its documented code and one stderr line, and a
+    request above cli.MAX_DECLARED_VALUES is refused before it allocates."""
+
+    TRAIN = ["train", "--synthetic", "--samples", "16", "--epochs", "1", "--width", "4"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--classes", "0"], "classes = 0"),
+            (["--image-hw", "-1"], "image_hw = -1"),
+            (["--image-hw", "100000"], "the synthetic dataset declares 160000000000"),
+            (["--samples", "300000", "--image-hw", "8"], "the synthetic dataset declares"),
+            (["--width", "100000"], "the network declares"),
+            (["--width", "1000", "--image-hw", "100"], "the network declares"),
+            (["--arch", "mlp", "--width", "100000"], "the network declares"),
+            (["--difficulty", "inf"], "difficulty = inf"),
+            (["--difficulty", "nan"], "difficulty = nan"),
+            (["--difficulty", "-0.5"], "difficulty = -0.5"),
+            (["--hstar", "0.5", "--sparsity", "0.9"], "one budget"),
+        ],
+    )
+    def test_train_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "r"
+        tracemalloc.start()
+        try:
+            code = run_cli(self.TRAIN + flags + ["--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert peak < 8 << 20
+        assert not (out / "snapshot.npz").exists()
+
+    def test_bound_admits_its_own_size(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DECLARED_VALUES", 16 * 8 * 8)
+        cli._check_size("the synthetic dataset", 16 * 8 * 8)
+        with pytest.raises(ValidationError, match="above 1024"):
+            cli._check_size("the synthetic dataset", 16 * 8 * 8 + 1)
+
+    def test_network_declares_a_value_per_weight_or_channel(self):
+        spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8)
+        # three convs and their batchnorms' channels, then the 8 * 2 * 2 -> 2 head
+        assert nn.declared_values(spec) == (36 + 4) + (288 + 8) + (576 + 8) + 64
+
+    @pytest.mark.parametrize("ec", ["0", "nan", "-1", "2", "inf"])
+    def test_bench_explicit_ec_outside_unit_interval(self, tmp_path, capsys, ec):
+        path = tmp_path / "golden.sbnn"
+        modelio.save_model(path, golden_model())
+        assert run_cli(["bench", "--model", str(path), "--ec", ec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside (0, 1]" in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sbnn import dataio
+from sbnn.binquant import DataError, ValidationError
 
 
 class TestCifarBinary:
@@ -79,6 +80,14 @@ class TestIdx:
         with pytest.raises(dataio.CountMismatch):
             dataio.load_idx(ipath, lpath)
 
+    def test_no_images_is_one_data_error(self, tmp_path):
+        # checked before standardizing, which would warn on an empty mean
+        ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
+        dataio.write_idx_images(ipath, np.zeros((0, 2, 2), dtype=np.uint8))
+        dataio.write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(DataError, match="empty dataset"):
+            dataio.load_idx(ipath, lpath)
+
     def test_truncated_payload(self, tmp_path):
         ipath = tmp_path / "img.idx"
         dataio.write_idx_images(ipath, np.zeros((2, 2, 2), dtype=np.uint8))
@@ -133,7 +142,17 @@ class TestSynthetic:
         with pytest.raises(Exception):
             dataio.synthetic_classification(seed=0, n=2, classes=3)
 
-    def test_split(self):
-        ds = dataio.synthetic_classification(seed=2, n=100, classes=2)
-        tr, va = ds.split(0.2, seed=0)
-        assert tr.count == 80 and va.count == 20
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"classes": 0}, {"classes": -1}, {"image_hw": 0}, {"image_hw": -1},
+         {"difficulty": np.nan}, {"difficulty": np.inf}, {"difficulty": -0.5},
+         {"difficulty": 2 * dataio.MAX_DIFFICULTY}],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValidationError) as exc:
+            dataio.synthetic_classification(seed=0, n=8, **kwargs)
+        assert not isinstance(exc.value, DataError)
+
+    def test_largest_difficulty_gives_finite_images(self):
+        ds = dataio.synthetic_classification(seed=0, n=64, difficulty=dataio.MAX_DIFFICULTY)
+        assert np.isfinite(ds.images).all()

@@ -167,6 +167,22 @@ class TestOpsReport:
         text = rep.to_text()
         assert "TOTAL" in text and "gain estimate" in text and "40.00x" in text
 
+    @pytest.mark.parametrize("ec", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+    def test_explicit_ec_outside_unit_interval_rejected(self, ec):
+        model, _ = self._model()
+        with pytest.raises(ValidationError, match="outside"):
+            metrics.build_ops_report(model, ec=ec)
+
+    def test_no_gain_line_without_ones(self):
+        spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8, omega_mode="pm1")
+        net = nn.Network(spec, np.random.default_rng(1))
+        for layer in net.binarized_layers():
+            layer.weight.value[...] = -0.5  # every sign -1, every bit 0
+        model = quantize_network(net, (1, 8, 8), 2)
+        totals = metrics.build_ops_report(model).totals
+        assert totals["ones_frac"] == 0.0 and "gain_2_over_ec" not in totals
+        assert metrics.build_ops_report(model, ec=1.0).totals["gain_2_over_ec"] == 2.0
+
     def test_chain_that_does_not_fit_is_rejected(self):
         model, _ = self._model()
         del model.stages[-2]  # the head now gets the larger map before the last conv

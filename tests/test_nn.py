@@ -204,7 +204,7 @@ class TestNetwork:
         f = net.ones_fraction()
         assert 0.0 <= f <= 1.0
         wb = net.concat_sign_weights()
-        assert wb.size == net.binarized_weight_count() == 64
+        assert wb.size == 64
 
     def test_init_deterministic(self):
         spec = nn.conv_net_spec(in_ch=1, classes=2, width=4)

@@ -72,11 +72,6 @@ class TestMakeBudget:
         assert b.ec == b.p_star
         assert b.m == 77 * b.p_star
 
-    def test_from_ec(self):
-        b = sp.SparsityBudget.from_ec(0.05, 200)
-        assert b.ec == 0.05 and b.m == 10.0
-        assert b.h_star == pytest.approx(sp.binary_entropy(0.05), rel=1e-12)
-
     def test_bad_n(self):
         with pytest.raises(ValidationError):
             sp.make_budget(0.5, 0)

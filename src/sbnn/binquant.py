@@ -7,6 +7,8 @@ parametrizations:
     (tau, phi):  alpha = -tau + phi,   beta = tau + phi     (tau > 0)
     (xi, eta):   alpha = xi * eta,     beta = (1 + xi) * eta
 
+A domain with tau == 0 is degenerate: a constant layer, alpha == beta == phi.
+
 Sign weights live in {-1, +1}; bit weights live in {0, 1}; they correspond
 via bit = (sign + 1) / 2, and bit 1 maps to beta.
 """
@@ -74,13 +76,16 @@ class OmegaParams:
 
     `tau > 0` is the canonical orientation (alpha < beta). A fit may produce
     tau <= 0; the raw value is kept and `canonical_*` accessors swap the two
-    domain values so consumers always see alpha < beta. `degenerate` marks
-    the constant-layer fallback (tau == 0, every weight equals phi).
+    domain values so consumers always see alpha < beta. A domain with
+    tau == 0 is degenerate: the constant-layer fallback, every weight phi.
     """
 
     tau: float
     phi: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.tau == 0.0
 
     @property
     def alpha(self) -> float:
@@ -107,7 +112,7 @@ class OmegaParams:
     def canonical(self) -> "OmegaParams":
         """Equivalent domain with tau > 0 (alpha < beta). Swapping the roles
         of the two values is a relabeling: bit 1 then selects the larger one."""
-        if self.degenerate or self.is_canonical:
+        if self.tau >= 0.0:
             return self
         return OmegaParams(tau=-self.tau, phi=self.phi)
 
@@ -184,13 +189,13 @@ def fit_omega_closed_form(w, wb) -> OmegaParams:
 
 def fit_omega(w, wb) -> OmegaParams:
     """fit_omega_closed_form with the degenerate fallback: a constant sign
-    vector yields tau = 0, phi = mean(w), flagged degenerate (the layer
-    carries no binary information and reconstructs as a constant)."""
+    vector yields the degenerate tau = 0, phi = mean(w) (the layer carries no
+    binary information and reconstructs as a constant)."""
     try:
         return fit_omega_closed_form(w, wb)
     except DegenerateSignError:
         w = _as_float_vector(w)
-        return OmegaParams(tau=0.0, phi=float(np.mean(w)), degenerate=True)
+        return OmegaParams(tau=0.0, phi=float(np.mean(w)))
 
 
 def binarization_loss(w, wb, omega: OmegaParams) -> float:
@@ -226,7 +231,7 @@ def canonicalize_with_bits(omega: OmegaParams, bits):
     swaps which domain value each bit selects, so the bits are flipped in
     the same move and every mapped value is preserved exactly."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if omega.degenerate or omega.is_canonical:
+    if omega.tau >= 0.0:
         return omega, bits
     return omega.canonical(), (1 - bits).astype(np.uint8)
 

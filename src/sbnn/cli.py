@@ -244,6 +244,8 @@ def cmd_eval(args) -> int:
     _log_config(args)
     model = modelio.load_model(args.model)
     ds = _load_dataset(args)
+    if ds.classes > model.classes:
+        raise DataError(f"the dataset has {ds.classes} classes, the model {model.classes}")
     images = ds.images
     if len(model.input_shape) == 1:
         images = images.reshape(ds.count, -1)

@@ -68,7 +68,7 @@ CIFAR_MEAN = np.array([0.4914, 0.4822, 0.4465])
 CIFAR_STD = np.array([0.2470, 0.2435, 0.2616])
 
 
-def load_cifar10_binary(path, classes=10) -> Dataset:
+def load_cifar10_binary(path) -> Dataset:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) == 0 or len(raw) % CIFAR_RECORD:
@@ -77,11 +77,10 @@ def load_cifar10_binary(path, classes=10) -> Dataset:
         )
     rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = rec[:, 0].astype(np.int64)
-    if labels.size and labels.max() >= classes:
-        raise LabelOutOfRange(f"label {labels.max()} >= {classes}")
     images = rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
     images = (images - CIFAR_MEAN[:, None, None]) / CIFAR_STD[:, None, None]
-    return Dataset(images, labels, classes, mean=CIFAR_MEAN.copy(), std=CIFAR_STD.copy())
+    # Dataset rejects a label outside CIFAR-10's ten classes
+    return Dataset(images, labels, 10, mean=CIFAR_MEAN.copy(), std=CIFAR_STD.copy())
 
 
 def write_cifar10_binary(path, images_u8, labels):
@@ -126,9 +125,10 @@ def _read_idx_array(path, expect_magic):
     return body.reshape(dims)
 
 
-def load_idx(images_path, labels_path, classes=None) -> Dataset:
-    """Load an IDX image file (n, h, w) plus its label file (n,). Pixels
-    normalize to zero mean / unit scale with the recorded constants."""
+def load_idx(images_path, labels_path) -> Dataset:
+    """Load an IDX image file (n, h, w) plus its label file (n,), with
+    max(label) + 1 classes. Pixels normalize to zero mean / unit scale with
+    the recorded constants."""
     imgs = _read_idx_array(images_path, IDX_IMAGES_MAGIC)
     labels = _read_idx_array(labels_path, IDX_LABELS_MAGIC).astype(np.int64)
     if imgs.shape[0] != labels.shape[0]:
@@ -137,10 +137,8 @@ def load_idx(images_path, labels_path, classes=None) -> Dataset:
         )
     if labels.size < 1:
         raise DataError("empty dataset")
-    if classes is None:
-        classes = int(labels.max()) + 1
     x, mean, std = _standardized(imgs.astype(np.float64)[:, None, :, :] / 255.0)
-    return Dataset(x, labels, classes, mean=mean, std=std)
+    return Dataset(x, labels, int(labels.max()) + 1, mean=mean, std=std)
 
 
 def write_idx_images(path, images_u8):
@@ -172,10 +170,9 @@ def synthetic_classification(
     n: int,
     classes: int = 2,
     difficulty: float = 0.3,
-    channels: int = 1,
     image_hw: int = 8,
 ) -> Dataset:
-    """Gaussian-blob image dataset. Each class gets a fixed random pattern;
+    """Gaussian-blob 1-channel image dataset. Each class gets a fixed random pattern;
     samples are the pattern plus noise scaled by `difficulty` (0 gives an
     essentially noise-free, linearly separable problem)."""
     if classes < 1 or image_hw < 1:
@@ -185,10 +182,10 @@ def synthetic_classification(
     if not 0.0 <= difficulty <= MAX_DIFFICULTY:
         raise ValidationError(f"difficulty = {difficulty} outside [0, {MAX_DIFFICULTY:g}]")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
-    protos = rng.normal(0.0, 1.0, size=(classes, channels, image_hw, image_hw))
+    protos = rng.normal(0.0, 1.0, size=(classes, 1, image_hw, image_hw))
     labels = np.arange(n, dtype=np.int64) % classes
     noise_scale = 0.05 + float(difficulty)
-    noise = rng.normal(0.0, noise_scale, size=(n, channels, image_hw, image_hw))
+    noise = rng.normal(0.0, noise_scale, size=(n, 1, image_hw, image_hw))
     images, mean, std = _standardized(protos[labels] + noise)
     order = rng.permutation(n)
     return Dataset(images[order], labels[order], classes, mean=mean, std=std)

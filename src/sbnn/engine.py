@@ -129,10 +129,6 @@ class FusedThreshold:
             theta[c] = _round_outward(root, up=k > 0)
         return cls(orientation=orientation, theta=theta)
 
-    @property
-    def channels(self) -> int:
-        return self.orientation.size
-
     def decide(self, z):
         """Bits (uint8) for pre-activations z (channels, ...): z * o >= theta * o
         with the orientation o = +-1, i.e. z >= theta (o = +1) or z <= theta
@@ -153,12 +149,11 @@ def affine_remap(z_prime, q, omega: OmegaParams):
     which equals the dense sum of {alpha, beta} weights times +-1 inputs up
     to the rounding of this two-product sum. This exact expression is the
     canonical one, shared with the dense reference path: both agree bitwise.
-    q must broadcast to the shape of z'. Needs a canonical or degenerate omega.
+    q must broadcast to the shape of z'. Needs tau >= 0 (canonical or degenerate).
     """
-    if not (omega.degenerate or omega.is_canonical):
+    if not omega.tau >= 0.0:
         raise ValidationError("affine_remap requires a canonical domain")
-    eta = 0.0 if omega.degenerate else omega.eta
-    z = np.multiply(z_prime, eta, dtype=np.float64)
+    z = np.multiply(z_prime, omega.eta, dtype=np.float64)
     z += omega.alpha * np.asarray(q, dtype=np.float64)
     return z
 
@@ -220,18 +215,18 @@ class PackedLayer:
     padding: int
     bits: np.ndarray  # (out_ch, fan_in) uint8
     omega: OmegaParams
-    kernel_tags: np.ndarray | None = None  # conv only: out_ch * in_ch uint8 tags
-    kernel_counts: tuple = (0, 0, 0)
+    # conv only, derived from the bits: out_ch * in_ch uint8 tags and their counts
+    kernel_tags: np.ndarray | None = field(init=False, default=None)
+    kernel_counts: tuple = field(init=False, default=(0, 0, 0))
 
     def __post_init__(self):
-        if not (self.omega.degenerate or self.omega.is_canonical):
+        if not self.omega.tau >= 0.0:
             raise ValidationError("packed layers require canonical omega")
         # every eta * z' and alpha * q finite (|z'|, |q| <= fan_in): the
         # remap is then monotone in z', as the threshold table needs
-        eta = 0.0 if self.omega.degenerate else self.omega.eta
-        if not all(math.isfinite(v * self.fan_in) for v in (eta, self.omega.alpha)):
+        if not all(math.isfinite(v * self.fan_in) for v in (self.omega.eta, self.omega.alpha)):
             raise ValidationError("packed layers require a domain whose remap stays finite")
-        if self.kind == "conv3x3" and self.kernel_tags is None:
+        if self.kind == "conv3x3":
             self.kernel_tags, self.kernel_counts = classify_kernels(self.bits)
 
     @property
@@ -333,7 +328,7 @@ class BinStage:
         entries the guess missed."""
         p, thr = self.packed, self.threshold
         f, omega = p.fan_in, p.omega
-        eta = np.float64(0.0 if omega.degenerate else omega.eta)  # divides as numpy does
+        eta = np.float64(omega.eta)  # divides as numpy does
         flip = (thr.orientation < 0).astype(np.uint8)[:, None]
         x = np.arange(f + 1)
         top = ones[:, None].astype(np.float64)

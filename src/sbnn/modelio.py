@@ -25,7 +25,9 @@ Stage blocks start with a tag byte:
     threshold block: i8 orientation per channel, then f64 theta per channel
 
 Float weights and the head's weights and biases are finite, and no theta
-is NaN (+-inf marks a constant channel): decode rejects any other value.
+is NaN (+-inf marks a constant channel). A binary stage's degenerate flag
+is 1 exactly when tau == 0, and classes equals the head's outputs. decode
+rejects any other value.
 
 The binary-conv kernel payload is a single MSB-first bit stream, padded to
 a byte boundary at the end: first a 2-bit class code per kernel (00 zero,
@@ -290,7 +292,9 @@ def decode(data: bytes) -> QuantizedModel:
                 tau, phi = struct.unpack("<dd", cur.take(16))
                 thr = _read_threshold(cur, out_ch)
                 bits, counts = _decode_kernel_payload(cur, kind, out_ch, fan_in)
-                omega = OmegaParams(tau=tau, phi=phi, degenerate=bool(flag))
+                omega = OmegaParams(tau=tau, phi=phi)
+                if flag != omega.degenerate:
+                    raise ModelFileError(f"stage {len(stages)}: degenerate flag {flag}, tau {tau!r}")
                 try:
                     packed = PackedLayer(**geometry, bits=bits, omega=omega)
                 except ValidationError as exc:  # a non-canonical domain
@@ -324,6 +328,8 @@ def decode(data: bytes) -> QuantizedModel:
         raise ModelFileError(str(exc)) from exc
     if not stages or not isinstance(stages[-1], Head):
         raise ModelFileError("the stage chain does not end in the head")
+    if classes != stages[-1].bias.size:
+        raise ModelFileError(f"{stages[-1].bias.size} head outputs for {classes} classes")
     return QuantizedModel(stages=stages, input_shape=in_shape, classes=classes)
 
 

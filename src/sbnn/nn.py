@@ -93,7 +93,9 @@ class Parameter:
 
 
 class Layer:
-    spec: LayerSpec
+    def __init__(self, spec: LayerSpec, rng=None):
+        self.spec = spec
+        self._cache = None
 
     def params(self):
         return []
@@ -116,7 +118,7 @@ class _WeightedLayer(Layer):
     def __init__(self, spec: LayerSpec, rng: np.random.Generator, fan_in: int):
         if fan_in < 1 or spec.out_ch < 1:
             raise ValidationError(f"{spec.kind}: empty fan-in or fan-out")
-        self.spec = spec
+        super().__init__(spec)
         shape = self._weight_shape()
         bound = 1.0 / np.sqrt(fan_in)
         self.weight = Parameter("weight", rng.uniform(-bound, bound, size=shape))
@@ -129,7 +131,6 @@ class _WeightedLayer(Layer):
             om = fit_omega(self.weight.value.ravel(), sign_binarize(self.weight.value.ravel()))
             self.tau = Parameter("tau", np.array(om.tau if not om.degenerate else 1.0))
             self.phi = Parameter("phi", np.array(om.phi))
-        self._cache = None
 
     def _weight_shape(self):
         raise NotImplementedError
@@ -320,16 +321,16 @@ class Linear(_WeightedLayer):
 # ---------------------------------------------------------------------------
 
 class BatchNorm(Layer):
-    def __init__(self, spec: LayerSpec, rng=None, eps=1e-5, momentum=0.1):
-        self.spec = spec
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, spec: LayerSpec, rng=None):
+        super().__init__(spec)
         c = spec.out_ch
         self.gamma = Parameter("gamma", np.ones(c))
         self.beta = Parameter("beta", np.zeros(c))
         self.running_mean = np.zeros(c)
         self.running_var = np.ones(c)
-        self.eps = eps
-        self.momentum = momentum
-        self._cache = None
 
     def params(self):
         return [self.gamma, self.beta]
@@ -377,10 +378,6 @@ class BatchNorm(Layer):
 
 
 class SignAct(Layer):
-    def __init__(self, spec: LayerSpec, rng=None):
-        self.spec = spec
-        self._cache = None
-
     def forward(self, x, train=False, relaxed=False):
         x = np.asarray(x, dtype=np.float64)
         self._cache = x
@@ -393,10 +390,6 @@ class SignAct(Layer):
 class MaxPool2x2(Layer):
     """2x2 stride-2 max pool; on tied values (e.g. +-1 activations) the
     gradient routes to the first of the tied positions."""
-
-    def __init__(self, spec: LayerSpec, rng=None):
-        self.spec = spec
-        self._cache = None
 
     def forward(self, x, train=False, relaxed=False):
         b, c, h, w = x.shape
@@ -420,10 +413,6 @@ class MaxPool2x2(Layer):
 
 
 class Flatten(Layer):
-    def __init__(self, spec: LayerSpec, rng=None):
-        self.spec = spec
-        self._cache = None
-
     def forward(self, x, train=False, relaxed=False):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)

@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValidationError(f"gamma = {self.gamma} outside [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValidationError("bad epochs/batch_size")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValidationError(f"learning_rate = {self.learning_rate} is not finite and > 0")
         if self.target_sparsity is not None and not 0.0 <= self.target_sparsity < 1.0:
             raise ValidationError("target_sparsity outside [0, 1)")
         if self.h_star is not None and not 0.0 <= self.h_star <= 1.0:
@@ -173,11 +175,10 @@ def sbnn_step(network: Network, xb, yb, gamma, ec):
     return loss, j, lam
 
 
-def train(network: Network, dataset, cfg: TrainConfig, val=None) -> TrainReport:
-    """Run cfg.epochs of minibatch Adam. `dataset` and `val` are
-    (images, labels) pairs; with val=None accuracy is reported on the
-    training set. epochs = 0 leaves the network at initialization and
-    returns an empty report."""
+def train(network: Network, dataset, cfg: TrainConfig) -> TrainReport:
+    """Run cfg.epochs of minibatch Adam on `dataset`, an (images, labels)
+    pair; accuracy is reported on it. epochs = 0 leaves the network at
+    initialization and returns an empty report."""
     images, labels = dataset
     if images.shape[0] < 1:
         raise DataError("empty dataset")
@@ -212,7 +213,6 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None) -> TrainReport:
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         best_loss = min(best_loss, epoch_loss)
-        vx, vy = val if val is not None else (images, labels)
         report.add(
             epoch=epoch,
             loss=epoch_loss,
@@ -220,7 +220,7 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None) -> TrainReport:
             **{"lambda": last_lam},
             ones_fraction=network.ones_fraction(),
             # in the steps' slices: evaluation never holds more images at once
-            accuracy=evaluate(network, vx, vy, cfg.batch_size),
+            accuracy=evaluate(network, images, labels, cfg.batch_size),
             best_loss=best_loss,
         )
     return report
@@ -367,8 +367,6 @@ def _layer_omega_and_bits(layer: _WeightedLayer, mode: str):
                 "learned quantization requires a layer trained with omega_mode='learned'"
             )
         om = OmegaParams(tau=float(layer.tau.value), phi=float(layer.phi.value))
-        if om.tau == 0.0:
-            om = OmegaParams(tau=0.0, phi=om.phi, degenerate=True)
     else:
         raise ValidationError(f"unknown quantization mode {mode!r}")
     return canonicalize_with_bits(om, bits)
@@ -389,6 +387,8 @@ def quantize_network(network: Network, input_shape, classes, mode=None) -> Quant
             if spec.kind == "classifier" or (
                 not spec.binarized and i + 1 >= len(layers)
             ):
+                if spec.out_ch != classes:
+                    raise ValidationError(f"{spec.out_ch} classifier outputs for {classes} classes")
                 bias = layer.bias.value.copy() if layer.bias is not None else np.zeros(spec.out_ch)
                 stages.append(Head(weight=layer.weight.value.copy(), bias=bias))
                 i += 1
@@ -436,20 +436,24 @@ def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
     """Quantize a training snapshot with one of the domain modes: 'analytic'
     (closed-form fit per layer), 'learned' (the trained tau/phi), or 'pm1'
     (the fixed {-1,+1} baseline). Defaults to the mode the snapshot was
-    trained with. Raises a SnapshotError when a parameter or batchnorm
-    statistic is NaN or infinite or a variance is negative, or when the
-    stages do not fit the snapshot's input shape or do not end in the head,
-    as no model file that loads could hold them."""
+    trained with; 'learned' for layers trained without a learned (tau, phi)
+    is a ValidationError. Any other fault is the snapshot's, a SnapshotError, as
+    no model file that loads could hold it: a parameter or batchnorm
+    statistic NaN or infinite or a variance negative, a spec quantize_network
+    cannot fold, or stages that do not fit the input shape or end in the head."""
     net = restore_network(snap)
+    if mode == "learned" and any(layer.tau is None for layer in net.binarized_layers()):
+        raise ValidationError("learned quantization needs a snapshot trained with omega_mode='learned'")
     for prefix, arrays in (("p:", snap.params), ("b:", snap.buffers)):
         for name, values in arrays.items():
             if not np.isfinite(values).all():
                 raise SnapshotError(f"snapshot array {prefix}{name} holds NaN or infinite values")
             if name.endswith("running_var") and (values < 0).any():
                 raise SnapshotError(f"snapshot array {prefix}{name} holds negative variances")
-    model = quantize_network(
-        net, snap.input_shape, snap.classes, mode=mode or snap.cfg.omega_mode
-    )
+    try:
+        model = quantize_network(net, snap.input_shape, snap.classes, mode or snap.cfg.omega_mode)
+    except ValidationError as exc:
+        raise SnapshotError(f"snapshot spec: {exc}") from exc
     try:
         walk_stages(model.stages, model.input_shape)
     except ValidationError as exc:

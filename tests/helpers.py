@@ -6,6 +6,8 @@ arithmetic.
 """
 
 import contextlib
+import struct
+import zlib
 
 import numpy as np
 
@@ -132,6 +134,11 @@ def golden_model():
         engine.Head(weight=rng.normal(size=(2, 7)), bias=rng.normal(size=2)),
     ]
     return engine.QuantizedModel(stages=stages, input_shape=(1, 8, 8), classes=2)
+
+
+def with_crc(data):
+    """A model file with its trailing crc recomputed over the edited body."""
+    return bytes(data[:-4]) + struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
 
 
 def reference_kernel_payload(kind, bits):

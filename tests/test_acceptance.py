@@ -421,7 +421,7 @@ def _random_quantized_model(rng):
         if bool(rng.integers(2)):
             om = bq.OmegaParams(tau=float(rng.uniform(0.01, 2.0)), phi=float(rng.normal(0, 0.5)))
         else:
-            om = bq.OmegaParams(tau=0.0, phi=float(rng.normal()), degenerate=True)
+            om = bq.OmegaParams(tau=0.0, phi=float(rng.normal()))
         stages.append(
             engine.BinStage(
                 packed=engine.PackedLayer(

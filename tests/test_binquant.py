@@ -90,6 +90,16 @@ class TestOmegaParams:
         assert (om.alpha, om.beta) == (-1.0, 1.0)
         assert (om.xi, om.eta) == (-0.5, 2.0)
 
+    @pytest.mark.parametrize("tau, degenerate", [(0.0, True), (-0.0, True), (5e-324, False),
+                                                 (-0.4, False), (np.nan, False)])
+    @pytest.mark.parametrize("phi", [0.0, -0.3, 1e300])
+    def test_degenerate_is_tau_zero(self, tau, degenerate, phi):
+        om = bq.OmegaParams(tau=tau, phi=phi)
+        assert om.degenerate == degenerate
+        if degenerate:
+            assert om.eta == 0.0 and om.alpha == om.beta == phi
+            assert om.canonical() is om
+
     def test_canonicalize_with_bits_preserves_values(self):
         om = bq.OmegaParams(tau=-0.4, phi=0.1)
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
@@ -238,7 +248,7 @@ class TestMapZeroOne:
         assert got == pytest.approx(om.alpha, rel=1e-12)
 
     def test_degenerate_constant(self):
-        om = bq.OmegaParams(tau=0.0, phi=0.25, degenerate=True)
+        om = bq.OmegaParams(tau=0.0, phi=0.25)
         out = bq.map_zeroone_to_omega(np.array([0, 1, 1]), om)
         assert np.all(out == 0.25)
 

@@ -1,17 +1,18 @@
 import dataclasses
 import json
+import os
+import pathlib
 import re
 import struct
 import tracemalloc
 import warnings
 import subprocess
 import sys
-import zlib
 
 import numpy as np
 import pytest
 
-from helpers import golden_model
+from helpers import golden_model, with_crc
 from sbnn import cli, dataio, engine, modelio, nn
 from sbnn.binquant import DataError, DegenerateSignError, ValidationError
 from sbnn.cli import main
@@ -149,6 +150,31 @@ class TestQuantizeEvalBenchInspect:
         )
         assert code == 3
 
+    def test_eval_more_dataset_classes_than_model(self, tmp_path, capsys):
+        path = tmp_path / "golden.sbnn"
+        modelio.save_model(path, golden_model())
+        code = run_cli(
+            ["eval", "--model", str(path), "--synthetic", "--samples", "16",
+             "--classes", "3", "--image-hw", "8", "--seed", "7"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: the dataset has 3 classes, the model 2\n"
+        assert "accuracy" not in captured.out
+
+    def test_quantize_learned_of_analytic_snapshot_is_config_error(
+        self, trained_run, tmp_path, capsys
+    ):
+        out = tmp_path / "m.sbnn"
+        code = run_cli(
+            ["quantize", "--snapshot", str(trained_run / "snapshot.npz"),
+             "--omega", "learned", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "omega_mode='learned'" in err
+        assert not out.exists()
+
     def test_eval_nonfinite_images_is_data_error(
         self, trained_run, tmp_path, capsys, monkeypatch
     ):
@@ -200,11 +226,6 @@ class TestQuantizeEvalBenchInspect:
         code = run_cli(["inspect", "--snapshot", str(trained_run / "snapshot.npz")])
         assert code == 0
         assert "p(ones)" in capsys.readouterr().out
-
-
-def _with_crc(data):
-    """The file with its trailing crc recomputed over the edited body."""
-    return data[:-4] + struct.pack("<I", zlib.crc32(data[8:-4]))
 
 
 def _stage_offset(model, i):
@@ -329,7 +350,7 @@ def _zero_width_stem(m):
     stem.out_ch, stem.weight = 0, np.zeros((0, 1, 3, 3))
     stem.threshold = engine.FusedThreshold(np.ones(0, dtype=np.int8), np.zeros(0))
     empty = np.zeros((conv.out_ch, 0), dtype=np.uint8)
-    m.stages[1].packed = dataclasses.replace(conv, in_ch=0, bits=empty, kernel_tags=None)
+    m.stages[1].packed = dataclasses.replace(conv, in_ch=0, bits=empty)
     return m
 
 
@@ -375,7 +396,7 @@ class TestCraftedModelFiles:
         data = bytearray(modelio.encode(m))
         edit(m, data)
         path = tmp_path / "crafted.sbnn"
-        path.write_bytes(_with_crc(bytes(data)))
+        path.write_bytes(with_crc(bytes(data)))
         assert run_cli([command, "--model", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
@@ -387,7 +408,7 @@ class TestCraftedModelFiles:
         data = bytearray(modelio.encode(m))
         _float_at(_stem_weight, np.inf)(m, data)
         path = tmp_path / "crafted.sbnn"
-        path.write_bytes(_with_crc(bytes(data)))
+        path.write_bytes(with_crc(bytes(data)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli(
@@ -558,9 +579,30 @@ def _no_classifier(meta, arrays):
     del arrays[f"p:{last}.weight"], arrays[f"p:{last}.bias"]
 
 
+def _classes_5(meta, arrays):
+    meta["classes"] = 5
+
+
+def _conv_without_batchnorm(meta, arrays):
+    """Layer 3 (a binary conv) loses its batchnorm; the arrays of the
+    layers after it move up one index."""
+    del meta["spec"][4]
+    moved = {}
+    for key, value in arrays.items():
+        prefix, dot, name = key.partition(".")
+        i = int(prefix[2:]) if prefix[:2] in ("p:", "b:") else -1
+        if i != 4:
+            moved[f"{prefix[:2]}{i - 1}{dot}{name}" if i > 4 else key] = value
+    arrays.clear()
+    arrays.update(moved)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
+        (_classes_5, "snapshot spec: 2 classifier outputs for 5 classes"),
+        (_conv_without_batchnorm,
+         "snapshot spec: layer 3 (conv3x3) must be followed by batchnorm and sign"),
         (_input_shape_9x9, "input shape (1, 9, 9): stage 3: input width 32, gets 72"),
         (_no_classifier, "the spec does not end in a full-precision classifier"),
         (_array_at_0("b:1.running_var", np.nan), "array b:1.running_var holds NaN or infinite"),
@@ -779,6 +821,18 @@ def test_module_entrypoint_smoke(tmp_path):
     assert "done:" in out.stdout
 
 
+def test_cli_runs_from_a_checkout():
+    """The no-install form the README gives: PYTHONPATH=src python -m sbnn.cli."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "sbnn.cli", "--help"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: sbnn")
+
+
 class TestErrorClassPicksExitCode:
     """cli.main exits 3 for any DataError and 2 for any other
     ValidationError, with one line on stderr either way."""
@@ -849,6 +903,10 @@ class TestBadInput:
             (["--difficulty", "nan"], "difficulty = nan"),
             (["--difficulty", "-0.5"], "difficulty = -0.5"),
             (["--hstar", "0.5", "--sparsity", "0.9"], "one budget"),
+            (["--lr", "nan"], "learning_rate = nan is not finite and > 0"),
+            (["--lr", "inf"], "learning_rate = inf is not finite and > 0"),
+            (["--lr", "-1"], "learning_rate = -1.0 is not finite and > 0"),
+            (["--lr", "0"], "learning_rate = 0.0 is not finite and > 0"),
         ],
     )
     def test_train_config_error(self, tmp_path, capsys, flags, message):

@@ -75,7 +75,7 @@ class TestKernelClass:
             OmegaParams(tau=np.inf, phi=0.0),
             OmegaParams(tau=1e307, phi=0.0),  # eta finite, eta * fan_in not
             OmegaParams(tau=0.5, phi=np.nan),
-            OmegaParams(tau=0.0, phi=-1e307, degenerate=True),
+            OmegaParams(tau=0.0, phi=-1e307),
         ],
     )
     def test_packed_layer_rejects_a_remap_that_overflows(self, omega):
@@ -142,7 +142,7 @@ class TestRemapDecideMatchReference:
     def test_remap_degenerate_omega(self):
         zp = np.array([[-7, 0, 5]], dtype=np.int64)  # eta * z' gives -0.0 at -7
         for phi in (0.3, 0.0):  # alpha * q is -0.0 at q < 0 when phi is 0
-            om = OmegaParams(tau=0.0, phi=phi, degenerate=True)
+            om = OmegaParams(tau=0.0, phi=phi)
             for q in (np.array([[0, 3, -3]]), np.zeros((1, 3), dtype=np.int64)):
                 got = engine.affine_remap(zp, q, om)
                 assert got.tobytes() == reference_affine_remap(zp, q, om).tobytes()
@@ -757,7 +757,7 @@ class TestThresholdTable:
     def test_degenerate_domain(self, phi):
         """eta = 0: the bit is alpha * q against theta, the same at every count;
         alpha * q is -0.0 or 0.0 when phi is 0, tied with theta = 0."""
-        omega = OmegaParams(tau=0.0, phi=phi, degenerate=True)
+        omega = OmegaParams(tau=0.0, phi=phi)
         ones = [3, 0, 40, 12, 12, 12]
         theta = [0.0, -0.0, 0.0, 0.6, -0.6, np.inf]
         stage = _linear_stage(ones, omega, theta, [1, -1, -1, 1, -1, 1], fan_in=40)

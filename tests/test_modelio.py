@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import golden_model, reference_kernel_payload
+from helpers import golden_model, reference_kernel_payload, with_crc
 from sbnn import dataio, engine, metrics, modelio, nn
 from sbnn.binquant import OmegaParams
 from sbnn.train import quantize_network
@@ -371,6 +371,34 @@ class TestMalformedFiles:
         images = np.random.default_rng(73).normal(size=(4, 1, 8, 8))
         logits, _ = engine.infer(loaded, images)
         assert np.array_equal(logits, engine.reference_forward(model, images))
+
+    @pytest.mark.parametrize(
+        "flag, tau, loads",
+        [(1, 0.5, False), (0, 0.0, False), (0, -0.0, False),
+         (1, 0.0, True), (1, -0.0, True), (0, 0.5, True)],
+    )
+    def test_degenerate_flag_is_tau_zero(self, flag, tau, loads):
+        """A binary stage's flag byte is 1 exactly when tau == 0; a file
+        that loads re-encodes to itself."""
+        model = golden_model()
+        stem = engine.QuantizedModel(model.stages[:1], model.input_shape, model.classes)
+        off = len(modelio.encode(stem)) - 4 + 1 + 16  # stage 1's tag, in/out/stride/pad
+        data = bytearray(modelio.encode(model))
+        data[off] = flag
+        data[off + 1 : off + 9] = struct.pack("<d", tau)
+        data = with_crc(data)
+        if loads:
+            assert modelio.encode(modelio.decode(data)) == data
+        else:
+            with pytest.raises(modelio.ModelFileError, match=f"degenerate flag {flag}, tau "):
+                modelio.decode(data)
+
+    @pytest.mark.parametrize("classes", [0, 1, 3, 2**32 - 1])
+    def test_classes_equal_head_outputs(self, classes):
+        data = bytearray(modelio.encode(golden_model()))
+        data[8:12] = struct.pack("<I", classes)
+        with pytest.raises(modelio.ModelFileError, match=f"^2 head outputs for {classes} classes$"):
+            modelio.decode(with_crc(data))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_single_bit_edits_fail_or_re_encode(self, seed):

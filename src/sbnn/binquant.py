@@ -105,10 +105,6 @@ class OmegaParams:
             raise ValidationError("degenerate domain has no (xi, eta) form")
         return self.alpha / self.eta
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.tau > 0.0
-
     def canonical(self) -> "OmegaParams":
         """Equivalent domain with tau > 0 (alpha < beta). Swapping the roles
         of the two values is a relabeling: bit 1 then selects the larger one."""

@@ -20,7 +20,7 @@ import numpy as np
 from . import dataio, metrics, modelio
 from .binquant import DataError, ValidationError, sign_binarize, quant_stats
 from .engine import BinStage, infer, reference_forward, walk_stages
-from .nn import Network, conv_net_spec, declared_values, mlp_spec
+from .nn import Network, conv_net_spec, declared_values, mlp_spec, step_values_per_image
 from .sparsity import binary_entropy
 from .train import (
     TrainConfig,
@@ -38,9 +38,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-# the most float64 values a synthetic dataset's images, or a network's
-# declared weights, may hold (128 MB each); checked before either allocates
+# the most float64 values a synthetic dataset's images, a network's declared
+# weights, or the largest array of a training step may hold (128 MB each);
+# checked before any of them is allocated
 MAX_DECLARED_VALUES = 1 << 24
+# sbnn eval runs the engine and the reference over slices of at most this
+# many images, so its peak memory does not grow with the dataset
+EVAL_SLICE = 1024
 
 
 def _check_size(what, values):
@@ -210,6 +214,8 @@ def cmd_train(args) -> int:
         )
         images = ds.images
     _check_size("the network", declared_values(spec))
+    step = min(args.batch, ds.count) * step_values_per_image(spec, images.shape[1:])
+    _check_size("a training step's largest array", step)
     net = Network(spec, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
     report = train(net, (images, ds.labels), cfg)
     input_shape = images.shape[1:] if args.arch == "conv" else (images.shape[1],)
@@ -249,14 +255,17 @@ def cmd_eval(args) -> int:
     images = ds.images
     if len(model.input_shape) == 1:
         images = images.reshape(ds.count, -1)
-    logits, counters = infer(model, images)
-    ref = reference_forward(model, images)
-    pred = np.argmax(logits, axis=1)
-    acc = float(np.mean(pred == ds.labels))
-    agree = float(np.mean(pred == np.argmax(ref, axis=1)))
-    print(f"accuracy: {acc:.4f}")
-    print(f"argmax agreement vs reference: {agree:.4f}")
-    print(f"binary position ops/image: {counters.position_ops / counters.images:.0f}")
+    hits = agree = position_ops = 0
+    for lo in range(0, ds.count, EVAL_SLICE):
+        batch = images[lo : lo + EVAL_SLICE]
+        logits, counters = infer(model, batch)
+        pred = np.argmax(logits, axis=1)
+        hits += int(np.sum(pred == ds.labels[lo : lo + EVAL_SLICE]))
+        agree += int(np.sum(pred == np.argmax(reference_forward(model, batch), axis=1)))
+        position_ops += counters.position_ops
+    print(f"accuracy: {hits / ds.count:.4f}")
+    print(f"argmax agreement vs reference: {agree / ds.count:.4f}")
+    print(f"binary position ops/image: {position_ops / ds.count:.0f}")
     return EXIT_OK
 
 

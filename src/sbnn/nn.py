@@ -5,15 +5,11 @@ activation, 2x2 max pool, full-precision classifier head). Binarized layers
 hold real latent weights; the forward pass quantizes them on the fly and the
 backward pass routes gradients through the clipped straight-through
 estimator. First conv and classifier stay full precision.
-
-Every layer also supports a `relaxed` forward in which the sign function is
-replaced by its straight-through surrogate clip(x, -1, 1). In that mode the
-backward pass computes the exact gradient of the forward (away from the
-clip kinks), which is what the finite-difference tests check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +29,8 @@ OMEGA_MODES = ("pm1", "analytic", "learned")
 MAX_CONV_PADDING = 2
 
 
-def _binarize(x, relaxed):
-    """sign(x) with sign(0) = +1, or the clipped-identity surrogate."""
-    if relaxed:
-        return np.clip(x, -1.0, 1.0)
+def _binarize(x):
+    """sign(x) with sign(0) = +1, as float64."""
     return (x >= 0.0) * 2.0 - 1.0
 
 
@@ -66,12 +60,17 @@ class LayerSpec:
             raise ValidationError(f"{self.kind}: sizes {sizes} are not non-negative integers")
 
     @property
-    def weight_count(self) -> int:
+    def weight_shape(self) -> tuple:
+        """Latent weight shape, fan-out first; (0,) for a layer without weights."""
         if self.kind == "conv3x3":
-            return self.out_ch * self.in_ch * 9
+            return (self.out_ch, self.in_ch, 3, 3)
         if self.kind in ("linear", "classifier"):
-            return self.out_ch * self.in_ch
-        return 0
+            return (self.out_ch, self.in_ch)
+        return (0,)
+
+    @property
+    def weight_count(self) -> int:
+        return math.prod(self.weight_shape)
 
 
 NetworkSpec = tuple  # tuple of LayerSpec, in forward order
@@ -81,6 +80,27 @@ def declared_values(spec) -> int:
     """One per weight, or per channel of a layer without weights: Network(spec)
     allocates a few float64 values per declared value."""
     return sum(max(ls.weight_count, ls.out_ch) for ls in spec)
+
+
+def step_values_per_image(spec, input_shape) -> int:
+    """Values per image of input_shape in the largest array a training step
+    builds: the input, a conv's im2col windows, or a layer's output. Counted
+    from the spec alone, before anything is allocated."""
+    shape = tuple(input_shape)
+    largest = math.prod(shape)
+    for ls in spec:
+        if ls.kind == "conv3x3":
+            ho, wo = _conv_out_hw(*shape[1:], ls.stride, ls.padding)
+            largest = max(largest, ls.in_ch * 9 * ho * wo)
+            shape = (ls.out_ch, ho, wo)
+        elif ls.kind == "pool":
+            shape = (shape[0], shape[1] // 2, shape[2] // 2)
+        elif ls.kind == "flatten":
+            shape = (math.prod(shape),)
+        elif ls.kind in ("linear", "classifier"):
+            shape = (ls.out_ch,)
+        largest = max(largest, math.prod(shape))
+    return largest
 
 
 class Parameter:
@@ -100,7 +120,7 @@ class Layer:
     def params(self):
         return []
 
-    def forward(self, x, train=False, relaxed=False):
+    def forward(self, x, train=False):
         raise NotImplementedError
 
     def backward(self, grad_out):
@@ -115,11 +135,12 @@ class _WeightedLayer(Layer):
     """Holds latent weights plus the optional learned (tau, phi) pair and
     implements the latent -> effective weight quantization and its backward."""
 
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator, fan_in: int):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+        shape = spec.weight_shape
+        fan_in = math.prod(shape[1:])
         if fan_in < 1 or spec.out_ch < 1:
             raise ValidationError(f"{spec.kind}: empty fan-in or fan-out")
         super().__init__(spec)
-        shape = self._weight_shape()
         bound = 1.0 / np.sqrt(fan_in)
         self.weight = Parameter("weight", rng.uniform(-bound, bound, size=shape))
         self.bias = None
@@ -131,9 +152,6 @@ class _WeightedLayer(Layer):
             om = fit_omega(self.weight.value.ravel(), sign_binarize(self.weight.value.ravel()))
             self.tau = Parameter("tau", np.array(om.tau if not om.degenerate else 1.0))
             self.phi = Parameter("phi", np.array(om.phi))
-
-    def _weight_shape(self):
-        raise NotImplementedError
 
     def params(self):
         out = [self.weight]
@@ -155,13 +173,13 @@ class _WeightedLayer(Layer):
         w = self.weight.value.ravel()
         return fit_omega(w, sign_binarize(w))
 
-    def effective_weight(self, relaxed=False):
+    def effective_weight(self):
         """(tau * wb + phi, (w, wb, tau)) for a binarized layer; the latent
         weights and None for a full-precision one."""
         w = self.weight.value
         if not self.spec.binarized:
             return w, None
-        wb = _binarize(w, relaxed)
+        wb = _binarize(w)
         om = self.current_omega()
         return om.tau * wb + om.phi, (w, wb, om.tau)
 
@@ -254,19 +272,13 @@ def _conv_apply(rows, wf, hw):
 
 
 class Conv3x3(_WeightedLayer):
-    def __init__(self, spec: LayerSpec, rng):
-        super().__init__(spec, rng, fan_in=spec.in_ch * 9)
-
-    def _weight_shape(self):
-        return (self.spec.out_ch, self.spec.in_ch, 3, 3)
-
     @property
     def pad_value(self):
         # binarized layers pad with -1-valued activations (bit 0 halo)
         return -1.0 if self.spec.binarized else 0.0
 
-    def forward(self, x, train=False, relaxed=False):
-        w_eff, self._wcache = self.effective_weight(relaxed)
+    def forward(self, x, train=False):
+        w_eff, self._wcache = self.effective_weight()
         x = np.asarray(x, dtype=np.float64)
         cols, hw = _im2col(x, self.spec.stride, self.spec.padding, self.pad_value)
         wf = w_eff.reshape(self.spec.out_ch, -1)
@@ -290,15 +302,8 @@ class Conv3x3(_WeightedLayer):
 
 
 class Linear(_WeightedLayer):
-    def __init__(self, spec: LayerSpec, rng):
-        super().__init__(spec, rng, fan_in=spec.in_ch)
-
-    def _weight_shape(self):
-        return (self.spec.out_ch, self.spec.in_ch)
-
-    def forward(self, x, train=False, relaxed=False):
-        w_eff, wcache = self.effective_weight(relaxed)
-        self._wcache = wcache
+    def forward(self, x, train=False):
+        w_eff, self._wcache = self.effective_weight()
         x = np.asarray(x, dtype=np.float64)
         y = x @ w_eff.T
         if self.bias is not None:
@@ -343,7 +348,7 @@ class BatchNorm(Layer):
             return (0,), (1, -1)
         raise ValidationError("batchnorm expects 2-D or 4-D input")
 
-    def forward(self, x, train=False, relaxed=False):
+    def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         axes, bshape = self._shape_for(x)
         if train:
@@ -365,7 +370,7 @@ class BatchNorm(Layer):
         dxhat = grad_out * self.gamma.value.reshape(bshape)
         if not train:
             return dxhat * inv_std.reshape(bshape)
-        m = x.size // x.shape[1 if x.ndim == 4 else -1]
+        m = x.size // x.shape[1]
         xc = x - mean.reshape(bshape)
         istd = inv_std.reshape(bshape)
         dvar = np.sum(dxhat * xc, axis=axes) * (-0.5) * inv_std**3
@@ -378,10 +383,10 @@ class BatchNorm(Layer):
 
 
 class SignAct(Layer):
-    def forward(self, x, train=False, relaxed=False):
+    def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self._cache = x
-        return _binarize(x, relaxed)
+        return _binarize(x)
 
     def backward(self, grad_out):
         return ste_gradient(grad_out, self._cache)
@@ -391,7 +396,7 @@ class MaxPool2x2(Layer):
     """2x2 stride-2 max pool; on tied values (e.g. +-1 activations) the
     gradient routes to the first of the tied positions."""
 
-    def forward(self, x, train=False, relaxed=False):
+    def forward(self, x, train=False):
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValidationError("pool input dims must be even")
@@ -413,7 +418,7 @@ class MaxPool2x2(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x, train=False, relaxed=False):
+    def forward(self, x, train=False):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -447,13 +452,13 @@ class Network:
                 raise ValidationError("classifier head must stay full precision")
             self.layers.append(_LAYER_TYPES[ls.kind](ls, rng))
 
-    def forward(self, x, train=False, relaxed=False):
+    def forward(self, x, train=False):
         """The logits. Each layer drops the cache of an earlier forward
         before it builds its own, and an inference forward (train=False)
         keeps none, since no backward follows it."""
         for layer in self.layers:
             layer._cache = None
-            x = layer.forward(x, train=train, relaxed=relaxed)
+            x = layer.forward(x, train=train)
             if not train:
                 layer._cache = None
         return x

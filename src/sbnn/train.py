@@ -38,6 +38,7 @@ from .engine import (
     walk_stages,
 )
 from .nn import (
+    OMEGA_MODES,
     BatchNorm,
     Conv3x3,
     Flatten,
@@ -78,6 +79,8 @@ class TrainConfig:
             raise ValidationError(f"gamma = {self.gamma} outside [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValidationError("bad epochs/batch_size")
+        if self.omega_mode not in OMEGA_MODES:
+            raise ValidationError(f"unknown omega mode {self.omega_mode!r}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(f"learning_rate = {self.learning_rate} is not finite and > 0")
         if self.target_sparsity is not None and not 0.0 <= self.target_sparsity < 1.0:
@@ -435,12 +438,13 @@ def quantize_network(network: Network, input_shape, classes, mode=None) -> Quant
 def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
     """Quantize a training snapshot with one of the domain modes: 'analytic'
     (closed-form fit per layer), 'learned' (the trained tau/phi), or 'pm1'
-    (the fixed {-1,+1} baseline). Defaults to the mode the snapshot was
-    trained with; 'learned' for layers trained without a learned (tau, phi)
-    is a ValidationError. Any other fault is the snapshot's, a SnapshotError, as
-    no model file that loads could hold it: a parameter or batchnorm
-    statistic NaN or infinite or a variance negative, a spec quantize_network
-    cannot fold, or stages that do not fit the input shape or end in the head."""
+    (the fixed {-1,+1} baseline). None quantizes each layer with its own
+    spec.omega_mode, as quantize_network does; 'learned' for layers trained
+    without a learned (tau, phi) is a ValidationError. Any other fault is the
+    snapshot's, a SnapshotError, as no model file that loads could hold it: a
+    parameter or batchnorm statistic NaN or infinite or a variance negative, a
+    spec quantize_network cannot fold, or stages that do not fit the input
+    shape or end in the head."""
     net = restore_network(snap)
     if mode == "learned" and any(layer.tau is None for layer in net.binarized_layers()):
         raise ValidationError("learned quantization needs a snapshot trained with omega_mode='learned'")
@@ -451,7 +455,7 @@ def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
             if name.endswith("running_var") and (values < 0).any():
                 raise SnapshotError(f"snapshot array {prefix}{name} holds negative variances")
     try:
-        model = quantize_network(net, snap.input_shape, snap.classes, mode or snap.cfg.omega_mode)
+        model = quantize_network(net, snap.input_shape, snap.classes, mode)
     except ValidationError as exc:
         raise SnapshotError(f"snapshot spec: {exc}") from exc
     try:

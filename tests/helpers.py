@@ -292,9 +292,9 @@ def reference_conv_input_grad(g, wf, geom):
     return reference_conv_col2im(np.einsum("of,bop->bfp", wf, g, optimize=True), geom)
 
 
-def reference_conv3x3_forward(layer, x, train=False, relaxed=False):
+def reference_conv3x3_forward(layer, x, train=False):
     """Drop-in for nn.Conv3x3.forward built on the reference conv."""
-    w_eff, layer._wcache = layer.effective_weight(relaxed)
+    w_eff, layer._wcache = layer.effective_weight()
     wf = w_eff.reshape(layer.spec.out_ch, -1)
     cols, geom = reference_conv_im2col(
         np.asarray(x, dtype=np.float64), layer.spec.stride, layer.spec.padding, layer.pad_value
@@ -321,8 +321,7 @@ def reference_affine_remap(z_prime, q, omega):
     """eta * z' + alpha * q over float64 copies of both operands."""
     zp = np.asarray(z_prime, dtype=np.float64)
     qf = np.asarray(q, dtype=np.float64)
-    eta = 0.0 if omega.degenerate else omega.eta
-    return eta * zp + omega.alpha * qf
+    return omega.eta * zp + omega.alpha * qf
 
 
 def reference_decide(threshold, z):
@@ -386,6 +385,20 @@ def captured_preacts():
         yield slices
     finally:
         engine.BinStage._decide = real_decide
+
+
+@contextlib.contextmanager
+def clip_surrogate():
+    """Within the block, every sign in the network's forward (latent weights
+    and activations) is its straight-through surrogate clip(x, -1, 1). The
+    backward pass is then the exact gradient of the forward away from the
+    clip kinks at +-1, which is what the finite-difference tests check."""
+    real = nn._binarize
+    nn._binarize = lambda x: np.clip(x, -1.0, 1.0)
+    try:
+        yield
+    finally:
+        nn._binarize = real
 
 
 @contextlib.contextmanager

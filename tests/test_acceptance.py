@@ -17,6 +17,7 @@ from sbnn.train import TrainConfig, quantize_network, quantize_snapshot, take_sn
 from helpers import (
     bisect_entropy_inverse,
     brute_force_omega,
+    clip_surrogate,
     forward_preacts,
     int_preacts,
     planes_wherever_allowed,
@@ -83,39 +84,40 @@ def test_criterion_2_gradient_suite(announce):
         assert dp == pytest.approx(fd_p, rel=1e-5, abs=1e-5)
 
     # (ii) every latent gradient of a <= 500-parameter network, in the
-    # straight-through surrogate forward (sign -> clip), skipping points at
-    # the clip kinks +-1 +- 1e-3
+    # straight-through surrogate forward (sign -> clip, under clip_surrogate),
+    # skipping points at the clip kinks +-1 +- 1e-3
     spec = nn.mlp_spec(in_features=12, classes=2, hidden=10, omega_mode="learned")
     net = nn.Network(spec, np.random.default_rng(33))
     n_params = sum(p.value.size for _, p in net.params())
     assert n_params <= 500
     x = rng.normal(size=(16, 12))
     y = rng.integers(0, 2, size=16)
-    net.zero_grads()
-    logits = net.forward(x, train=True, relaxed=True)
-    _, dl = nn.softmax_cross_entropy(logits, y)
-    net.backward(dl)
+    with clip_surrogate():
+        net.zero_grads()
+        logits = net.forward(x, train=True)
+        _, dl = nn.softmax_cross_entropy(logits, y)
+        net.backward(dl)
 
-    def loss_at():
-        lg = net.forward(x, train=True, relaxed=True)
-        return nn.softmax_cross_entropy(lg, y)[0]
+        def loss_at():
+            lg = net.forward(x, train=True)
+            return nn.softmax_cross_entropy(lg, y)[0]
 
-    checked = 0
-    for name, p in net.params():
-        flat, gflat = p.value.ravel(), p.grad.ravel()
-        for i in range(flat.size):
-            if abs(abs(flat[i]) - 1.0) < 1e-3:
-                continue
-            old = flat[i]
-            h = 1e-6
-            flat[i] = old + h
-            lp = loss_at()
-            flat[i] = old - h
-            lm = loss_at()
-            flat[i] = old
-            fd = (lp - lm) / (2 * h)
-            assert gflat[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), f"{name}[{i}]"
-            checked += 1
+        checked = 0
+        for name, p in net.params():
+            flat, gflat = p.value.ravel(), p.grad.ravel()
+            for i in range(flat.size):
+                if abs(abs(flat[i]) - 1.0) < 1e-3:
+                    continue
+                old = flat[i]
+                h = 1e-6
+                flat[i] = old + h
+                lp = loss_at()
+                flat[i] = old - h
+                lm = loss_at()
+                flat[i] = old
+                fd = (lp - lm) / (2 * h)
+                assert gflat[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), f"{name}[{i}]"
+                checked += 1
     assert checked > 200
     assert time.monotonic() - t0 < 60.0
 

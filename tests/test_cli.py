@@ -162,6 +162,33 @@ class TestQuantizeEvalBenchInspect:
         assert captured.err == "error: the dataset has 3 classes, the model 2\n"
         assert "accuracy" not in captured.out
 
+    def test_eval_peak_does_not_grow_with_the_dataset(self, tmp_path, capsys):
+        """eval runs in slices of cli.EVAL_SLICE images, so from 2,048 to
+        4,096 images its traced peak grows by less than twice the added
+        images' own bytes (one batch of 4,096 would need about 30 MB more)."""
+        out = tmp_path / "r"
+        assert run_cli(
+            ["train", "--synthetic", "--samples", "32", "--image-hw", "12", "--epochs", "0",
+             "--width", "8", "--out", str(out)]
+        ) == 0
+        model_path = tmp_path / "m.sbnn"
+        assert run_cli(
+            ["quantize", "--snapshot", str(out / "snapshot.npz"), "--out", str(model_path)]
+        ) == 0
+        peaks = []
+        for samples in (2048, 4096):
+            tracemalloc.start()
+            try:
+                assert run_cli(
+                    ["eval", "--model", str(model_path), "--synthetic", "--samples",
+                     str(samples), "--image-hw", "12"]
+                ) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert "argmax agreement vs reference: 1.0000" in capsys.readouterr().out
+        assert peaks[1] - peaks[0] < 2 * 2048 * 12 * 12 * 8
+
     def test_quantize_learned_of_analytic_snapshot_is_config_error(
         self, trained_run, tmp_path, capsys
     ):
@@ -928,6 +955,40 @@ class TestBadInput:
         cli._check_size("the synthetic dataset", 16 * 8 * 8)
         with pytest.raises(ValidationError, match="above 1024"):
             cli._check_size("the synthetic dataset", 16 * 8 * 8 + 1)
+
+    def test_training_step_above_the_bound(self, tmp_path, capsys, monkeypatch):
+        """One 1024x1024 image passes the dataset and network checks, but the
+        third conv's windows for that one image would hold 16 * 9 * 1018**2
+        float64 values (1.2 GB): refused before the network is built."""
+        out = tmp_path / "r"
+
+        def no_network(*args):  # without the check, training would take ~3 GB
+            pytest.fail("the network was built")
+
+        monkeypatch.setattr(cli, "Network", no_network)
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                ["train", "--synthetic", "--samples", "1", "--classes", "1",
+                 "--image-hw", "1024", "--width", "8", "--out", str(out)]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a training step's largest array declares 149230656 float64 values, "
+            f"above {cli.MAX_DECLARED_VALUES}\n"
+        )
+        assert peak < 64 << 20  # the 8 MB image and its generator's temporaries
+        assert not (out / "snapshot.npz").exists()
+
+    def test_step_values_count_the_largest_array(self):
+        spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8)
+        # the second conv's windows: 4 * 9 taps x 4 * 4 pixels
+        assert nn.step_values_per_image(spec, (1, 8, 8)) == 36 * 16
+        mlp = nn.mlp_spec(in_features=36, classes=2, hidden=12)
+        assert nn.step_values_per_image(mlp, (36,)) == 36  # the input is the largest
 
     def test_network_declares_a_value_per_weight_or_channel(self):
         spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8)

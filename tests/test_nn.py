@@ -7,6 +7,7 @@ from sbnn import dataio, nn, train
 from sbnn.binquant import ValidationError
 
 from helpers import (
+    clip_surrogate,
     dense_sign_dot,
     forward_binary_conv,
     forward_binary_linear,
@@ -18,16 +19,16 @@ from helpers import (
 
 
 def finite_diff_check(net, x, y, rng, per_param=6, rtol=1e-4):
-    """Compare analytic grads to central differences of the relaxed forward
-    (sign replaced by its clipped-identity surrogate), skipping points near
-    the clip kinks."""
+    """Compare analytic grads to central differences of the forward under
+    clip_surrogate (sign replaced by its clipped-identity surrogate),
+    skipping points near the clip kinks. Call it inside that block."""
     net.zero_grads()
-    logits = net.forward(x, train=True, relaxed=True)
+    logits = net.forward(x, train=True)
     _, dl = nn.softmax_cross_entropy(logits, y)
     net.backward(dl)
 
     def loss_at():
-        lg = net.forward(x, train=True, relaxed=True)
+        lg = net.forward(x, train=True)
         return nn.softmax_cross_entropy(lg, y)[0]
 
     checked = 0
@@ -221,7 +222,8 @@ class TestGradients:
         net = nn.Network(spec, np.random.default_rng(7))
         x = rng.normal(size=(16, 12))
         y = rng.integers(0, 2, size=16)
-        checked = finite_diff_check(net, x, y, rng)
+        with clip_surrogate():
+            checked = finite_diff_check(net, x, y, rng)
         assert checked >= 20
 
     def test_convnet_relaxed_finite_differences(self):
@@ -230,7 +232,8 @@ class TestGradients:
         net = nn.Network(spec, np.random.default_rng(11))
         x = rng.normal(size=(8, 1, 8, 8))
         y = rng.integers(0, 2, size=8)
-        checked = finite_diff_check(net, x, y, rng)
+        with clip_surrogate():
+            checked = finite_diff_check(net, x, y, rng)
         assert checked >= 30
 
     def test_learned_tau_phi_true_forward(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbnn import dataio, engine, metrics, nn
-from sbnn.binquant import DataError, ValidationError
+from sbnn.binquant import PM1_DOMAIN, DataError, ValidationError
 from sbnn.train import (
     Adam,
     TrainConfig,
@@ -60,6 +60,10 @@ class TestTrainConfig:
     def test_both_budgets_rejected(self):
         with pytest.raises(ValidationError, match="one budget"):
             TrainConfig(h_star=1.0, target_sparsity=0.9)
+
+    def test_unknown_omega_mode_rejected(self):
+        with pytest.raises(ValidationError, match="unknown omega mode 'bogus'"):
+            TrainConfig(omega_mode="bogus")
 
 
 class TestAdamAndSchedule:
@@ -216,10 +220,10 @@ class TestTrainLoop:
         net, data, cfg, ds = small_setup(epochs=2)  # 96 images, batches of 32
         sizes, real = [], nn.Network.forward
 
-        def spy(self, x, train=False, relaxed=False):
+        def spy(self, x, train=False):
             if not train:
                 sizes.append(x.shape[0])
-            return real(self, x, train=train, relaxed=relaxed)
+            return real(self, x, train=train)
 
         monkeypatch.setattr(nn.Network, "forward", spy)
         train(net, data, cfg)
@@ -315,6 +319,14 @@ class TestQuantizeSnapshot:
         model = quantize_snapshot(snap2, mode="analytic")
         om = model.binary_stages()[0].packed.omega
         assert om.tau == pytest.approx(np.abs(w).mean(), rel=1e-12)
+
+    def test_default_mode_is_each_layers_own(self):
+        # the config's mode is not a second copy of the specs': a pm1-trained
+        # network quantizes to {-1, +1} whatever the config says
+        snap, _ = self._trained("pm1")
+        snap.cfg = TrainConfig(omega_mode="analytic")
+        for stage in quantize_snapshot(snap).binary_stages():
+            assert stage.packed.omega == PM1_DOMAIN
 
     def test_learned_requires_learned_layers(self):
         snap, _ = self._trained("pm1")

@@ -184,16 +184,21 @@ def synthetic_classification(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     protos = rng.normal(0.0, 1.0, size=(classes, 1, image_hw, image_hw))
     labels = np.arange(n, dtype=np.int64) % classes
-    noise_scale = 0.05 + float(difficulty)
-    noise = rng.normal(0.0, noise_scale, size=(n, 1, image_hw, image_hw))
-    images, mean, std = _standardized(protos[labels] + noise)
+    # in one array: the noise (rng.normal's draws), then image i's class pattern
+    images = rng.standard_normal(out=np.empty((n, 1, image_hw, image_hw)))
+    images *= 0.05 + float(difficulty)
+    for c in range(classes):
+        images[c::classes] += protos[c]
+    images, mean, std = _standardized(images)
     order = rng.permutation(n)
     return Dataset(images[order], labels[order], classes, mean=mean, std=std)
 
 
 def _standardized(images):
-    """(images, mean, std): `images` shifted and scaled to zero mean and unit
-    standard deviation over all values, and the two constants used."""
+    """(images, mean, std): `images` shifted and scaled in place to zero mean
+    and unit standard deviation over all values, and the two constants used."""
     mean = np.array([images.mean()])
     std = np.array([max(images.std(), 1e-8)])
-    return (images - mean) / std, mean, std
+    images -= mean
+    images /= std
+    return images, mean, std

@@ -46,7 +46,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,13 +81,15 @@ def classify_kernels(bits):
 # fused batchnorm + sign
 # ---------------------------------------------------------------------------
 
-def _round_outward(t: Fraction, up: bool) -> float:
-    """The float nearest t on one side: at or above t (up) or at or below."""
+def _round_outward(num: int, den: int, up: bool) -> float:
+    """The float nearest num/den (den > 0) on one side: at or above it (up)
+    or at or below it."""
     try:
-        f = float(t)
+        f = num / den  # correctly rounded
     except OverflowError:
-        return math.inf if t > 0 else -math.inf
-    if math.isinf(f) or (Fraction(f) >= t if up else Fraction(f) <= t):
+        return math.inf if num > 0 else -math.inf
+    fn, fd = f.as_integer_ratio()
+    if fn * den >= num * fd if up else fn * den <= num * fd:
         return f
     return math.nextafter(f, math.inf if up else -math.inf)
 
@@ -110,23 +111,24 @@ class FusedThreshold:
 
     @classmethod
     def from_batchnorm(cls, gamma, beta, mean, var, eps=1e-5) -> "FusedThreshold":
-        gamma = np.asarray(gamma, dtype=np.float64)
-        beta = np.asarray(beta, dtype=np.float64)
-        mean = np.asarray(mean, dtype=np.float64)
-        var = np.asarray(var, dtype=np.float64)
-        n = gamma.size
-        orientation = np.empty(n, dtype=np.int8)
-        theta = np.empty(n, dtype=np.float64)
+        gamma, beta, mean, var = (np.asarray(a, dtype=np.float64) for a in (gamma, beta, mean, var))
         inv_std = 1.0 / np.sqrt(var + eps)
-        for c in range(n):
-            k = Fraction(gamma[c]) * Fraction(inv_std[c])
-            if k == 0:
-                orientation[c] = 1
-                theta[c] = -math.inf if beta[c] >= 0 else math.inf
+        orientation = np.ones(gamma.size, dtype=np.int8)
+        theta = np.empty(gamma.size, dtype=np.float64)
+        channels = zip(*(a.tolist() for a in (gamma, inv_std, beta, mean)), strict=True)
+        for c, (g, s, b, m) in enumerate(channels):
+            (gn, gd), (sn, sd) = g.as_integer_ratio(), s.as_integer_ratio()
+            k = gn * sn  # g * s = k / (gd * sd), with gd * sd > 0
+            if k == 0:  # a constant channel
+                theta[c] = -math.inf if b >= 0 else math.inf
                 continue
-            root = Fraction(mean[c]) - Fraction(beta[c]) / k
-            orientation[c] = 1 if k > 0 else -1
-            theta[c] = _round_outward(root, up=k > 0)
+            (mn, md), (bn, bd) = m.as_integer_ratio(), b.as_integer_ratio()
+            # root = m - b / (g * s) = (mn*bd*k - bn*md*gd*sd) / (md*bd*k)
+            num, den = mn * bd * k - bn * md * gd * sd, md * bd * k
+            if k < 0:
+                orientation[c] = -1
+                num, den = -num, -den
+            theta[c] = _round_outward(num, den, up=k > 0)
         return cls(orientation=orientation, theta=theta)
 
     def decide(self, z):

@@ -35,18 +35,14 @@ from .engine import (
     Head,
     PackedLayer,
     QuantizedModel,
+    infer,
     walk_stages,
 )
 from .nn import (
     OMEGA_MODES,
     BatchNorm,
-    Conv3x3,
-    Flatten,
     LayerSpec,
-    Linear,
-    MaxPool2x2,
     Network,
-    SignAct,
     _WeightedLayer,
     declared_values,
     softmax_cross_entropy,
@@ -155,9 +151,12 @@ def cosine_lr(base_lr, epoch, total_epochs):
 
 
 def evaluate(network: Network, images, labels, batch_size=256) -> float:
+    """Accuracy of the model quantize_network folds from `network`, run by
+    the engine over slices of batch_size images."""
+    model = quantize_network(network, images.shape[1:], check_foldable(network.spec))
     hits = 0
     for lo in range(0, images.shape[0], batch_size):
-        logits = network.forward(images[lo : lo + batch_size], train=False)
+        logits, _ = infer(model, images[lo : lo + batch_size])
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[lo : lo + batch_size]))
     return hits / images.shape[0]
 
@@ -180,8 +179,10 @@ def sbnn_step(network: Network, xb, yb, gamma, ec):
 
 def train(network: Network, dataset, cfg: TrainConfig) -> TrainReport:
     """Run cfg.epochs of minibatch Adam on `dataset`, an (images, labels)
-    pair; accuracy is reported on it. epochs = 0 leaves the network at
-    initialization and returns an empty report."""
+    pair; accuracy is reported on it, by evaluate. epochs = 0 leaves the
+    network at initialization and returns an empty report. A spec that
+    quantize_network cannot fold is rejected before the first step."""
+    check_foldable(network.spec)
     images, labels = dataset
     if images.shape[0] < 1:
         raise DataError("empty dataset")
@@ -356,6 +357,41 @@ def load_snapshot(path) -> Snapshot:
 # quantization: trained network -> engine model
 # ---------------------------------------------------------------------------
 
+def _is_head(spec, i) -> bool:
+    """Whether weighted layer i of `spec` folds into the full-precision head."""
+    return spec[i].kind == "classifier" or (not spec[i].binarized and i + 1 == len(spec))
+
+
+def check_foldable(spec) -> int:
+    """The classes of the model quantize_network folds from a network of
+    `spec`: its head's outputs. Raises a ValidationError for a spec it cannot
+    fold: a conv or linear layer before the head not followed by batchnorm
+    and sign, a binarized first layer, a layer of another kind than those,
+    pool and flatten, or a last stage other than a full-precision
+    classifier."""
+    i, first_real, classes = 0, True, None  # classes: the last stage's, if a head
+    while i < len(spec):
+        ls, step = spec[i], 1
+        if ls.kind in ("conv3x3", "linear", "classifier") and _is_head(spec, i):
+            classes = ls.out_ch
+        elif ls.kind in ("conv3x3", "linear"):
+            if [s.kind for s in spec[i + 1 : i + 3]] != ["batchnorm", "signact"]:
+                raise ValidationError(
+                    f"layer {i} ({ls.kind}) must be followed by batchnorm and sign"
+                )
+            if ls.binarized and first_real:
+                raise ValidationError("first layer cannot be binarized")
+            first_real, classes, step = False, None, 3
+        elif ls.kind == "pool":
+            classes = None
+        elif ls.kind != "flatten":  # a flatten folds into no stage
+            raise ValidationError(f"cannot quantize layer {i} ({ls.kind})")
+        i += step
+    if classes is None:
+        raise ValidationError("the spec does not end in a full-precision classifier")
+    return classes
+
+
 def _layer_omega_and_bits(layer: _WeightedLayer, mode: str):
     w = layer.weight.value.ravel()
     wb = sign_binarize(w)
@@ -364,11 +400,7 @@ def _layer_omega_and_bits(layer: _WeightedLayer, mode: str):
         return PM1_DOMAIN, bits
     if mode == "analytic":
         om = fit_omega(w, wb)
-    elif mode == "learned":
-        if layer.tau is None:
-            raise ValidationError(
-                "learned quantization requires a layer trained with omega_mode='learned'"
-            )
+    elif mode == "learned":  # quantize_snapshot checks that the layer learned one
         om = OmegaParams(tau=float(layer.tau.value), phi=float(layer.phi.value))
     else:
         raise ValidationError(f"unknown quantization mode {mode!r}")
@@ -377,34 +409,25 @@ def _layer_omega_and_bits(layer: _WeightedLayer, mode: str):
 
 def quantize_network(network: Network, input_shape, classes, mode=None) -> QuantizedModel:
     """Fold the trained stack into engine stages. Binarized and stem layers
-    must be followed by batchnorm + sign; batchnorm running statistics feed
-    the fused thresholds."""
+    must be followed by batchnorm + sign (check_foldable); batchnorm running
+    statistics feed the fused thresholds. `mode` quantizes every binarized
+    layer with one of nn.OMEGA_MODES, None each with its own; 'learned' needs
+    layers trained with a learned (tau, phi)."""
+    outputs = check_foldable(network.spec)
+    if outputs != classes:
+        raise ValidationError(f"{outputs} classifier outputs for {classes} classes")
     stages = []
     layers = network.layers
-    i = 0
     first_real = True
-    while i < len(layers):
-        layer = layers[i]
-        if isinstance(layer, (Conv3x3, Linear)):
-            spec = layer.spec
-            if spec.kind == "classifier" or (
-                not spec.binarized and i + 1 >= len(layers)
-            ):
-                if spec.out_ch != classes:
-                    raise ValidationError(f"{spec.out_ch} classifier outputs for {classes} classes")
-                bias = layer.bias.value.copy() if layer.bias is not None else np.zeros(spec.out_ch)
-                stages.append(Head(weight=layer.weight.value.copy(), bias=bias))
-                i += 1
-                continue
-            if not (
-                i + 2 < len(layers)
-                and isinstance(layers[i + 1], BatchNorm)
-                and isinstance(layers[i + 2], SignAct)
-            ):
-                raise ValidationError(
-                    f"layer {i} ({spec.kind}) must be followed by batchnorm and sign"
-                )
-            bn = layers[i + 1]
+    for i, layer in enumerate(layers):
+        spec = layer.spec
+        if spec.kind == "pool":
+            stages.append(BitPool())
+        elif spec.kind in ("conv3x3", "linear", "classifier") and _is_head(network.spec, i):
+            bias = layer.bias.value.copy() if layer.bias is not None else np.zeros(spec.out_ch)
+            stages.append(Head(weight=layer.weight.value.copy(), bias=bias))
+        elif spec.kind in ("conv3x3", "linear"):
+            bn = layers[i + 1]  # then its sign
             thr = FusedThreshold.from_batchnorm(
                 bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var, bn.eps
             )
@@ -412,8 +435,6 @@ def quantize_network(network: Network, input_shape, classes, mode=None) -> Quant
                 k: getattr(spec, k) for k in ("kind", "in_ch", "out_ch", "stride", "padding")
             }
             if spec.binarized:
-                if first_real:
-                    raise ValidationError("first layer cannot be binarized")
                 om, bits = _layer_omega_and_bits(layer, mode or spec.omega_mode)
                 packed = PackedLayer(**geometry, bits=bits.reshape(spec.out_ch, -1), omega=om)
                 stage = BinStage(packed=packed, threshold=thr)
@@ -422,16 +443,6 @@ def quantize_network(network: Network, input_shape, classes, mode=None) -> Quant
                 stage = FloatStage(**geometry, weight=w, threshold=thr, takes_bits=not first_real)
             stages.append(stage)
             first_real = False
-            i += 3
-            continue
-        if isinstance(layer, MaxPool2x2):
-            stages.append(BitPool())
-            i += 1
-            continue
-        if isinstance(layer, (Flatten,)):
-            i += 1
-            continue
-        raise ValidationError(f"cannot quantize layer {i} ({type(layer).__name__})")
     return QuantizedModel(stages=stages, input_shape=tuple(input_shape), classes=classes)
 
 
@@ -443,8 +454,8 @@ def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
     without a learned (tau, phi) is a ValidationError. Any other fault is the
     snapshot's, a SnapshotError, as no model file that loads could hold it: a
     parameter or batchnorm statistic NaN or infinite or a variance negative, a
-    spec quantize_network cannot fold, or stages that do not fit the input
-    shape or end in the head."""
+    spec quantize_network cannot fold (check_foldable), or stages that do not
+    fit the input shape."""
     net = restore_network(snap)
     if mode == "learned" and any(layer.tau is None for layer in net.binarized_layers()):
         raise ValidationError("learned quantization needs a snapshot trained with omega_mode='learned'")
@@ -462,6 +473,4 @@ def quantize_snapshot(snap: Snapshot, mode=None) -> QuantizedModel:
         walk_stages(model.stages, model.input_shape)
     except ValidationError as exc:
         raise SnapshotError(f"input shape {snap.input_shape}: {exc}") from exc
-    if not model.stages or not isinstance(model.stages[-1], Head):
-        raise SnapshotError("the spec does not end in a full-precision classifier")
     return model

@@ -6,8 +6,10 @@ arithmetic.
 """
 
 import contextlib
+import math
 import struct
 import zlib
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,6 +167,52 @@ def reference_kernel_payload(kind, bits):
         sum(bit << (7 - j) for j, bit in enumerate(stream[i : i + 8]))
         for i in range(0, len(stream), 8)
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the batchnorm fold (Fraction arithmetic) and for the per-epoch
+# accuracy (the float network in eval mode)
+# ---------------------------------------------------------------------------
+
+def fraction_round_outward(t, up):
+    """The float nearest the Fraction t on one side: at or above t (up) or at
+    or below it."""
+    try:
+        f = float(t)
+    except OverflowError:
+        return math.inf if t > 0 else -math.inf
+    if math.isinf(f) or (Fraction(f) >= t if up else Fraction(f) <= t):
+        return f
+    return math.nextafter(f, math.inf if up else -math.inf)
+
+
+def fraction_fold(gamma, beta, mean, var, eps=1e-5):
+    """(orientation, theta) of FusedThreshold.from_batchnorm, computed in
+    Fraction arithmetic channel by channel."""
+    gamma, beta, mean, var = (np.asarray(a, dtype=np.float64) for a in (gamma, beta, mean, var))
+    orientation = np.empty(gamma.size, dtype=np.int8)
+    theta = np.empty(gamma.size, dtype=np.float64)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    for c in range(gamma.size):
+        k = Fraction(gamma[c]) * Fraction(inv_std[c])
+        if k == 0:
+            orientation[c] = 1
+            theta[c] = -math.inf if beta[c] >= 0 else math.inf
+            continue
+        root = Fraction(mean[c]) - Fraction(beta[c]) / k
+        orientation[c] = 1 if k > 0 else -1
+        theta[c] = fraction_round_outward(root, up=k > 0)
+    return orientation, theta
+
+
+def float_evaluate(network, images, labels, batch_size=256):
+    """Accuracy of the float network in eval mode, over slices of
+    batch_size images."""
+    hits = 0
+    for lo in range(0, images.shape[0], batch_size):
+        logits = network.forward(images[lo : lo + batch_size], train=False)
+        hits += int(np.sum(np.argmax(logits, axis=1) == labels[lo : lo + batch_size]))
+    return hits / images.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -983,6 +983,25 @@ class TestBadInput:
         assert peak < 64 << 20  # the 8 MB image and its generator's temporaries
         assert not (out / "snapshot.npz").exists()
 
+    def test_spec_that_does_not_fold_is_refused_before_a_step(self, tmp_path, capsys, monkeypatch):
+        real = cli.conv_net_spec
+
+        def no_batchnorm(**kwargs):  # the first binary conv loses its batchnorm
+            spec = real(**kwargs)
+            return spec[:4] + spec[5:]
+
+        def no_step(*args):
+            pytest.fail("a training step ran")
+
+        monkeypatch.setattr(cli, "conv_net_spec", no_batchnorm)
+        monkeypatch.setattr("sbnn.train.sbnn_step", no_step)
+        out = tmp_path / "r"
+        assert run_cli(self.TRAIN + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer 3 (conv3x3) must be followed by batchnorm and sign\n"
+        )
+        assert not (out / "snapshot.npz").exists()
+
     def test_step_values_count_the_largest_array(self):
         spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8)
         # the second conv's windows: 4 * 9 taps x 4 * 4 pixels

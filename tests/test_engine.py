@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from sbnn.binquant import OmegaParams, ValidationError
 from helpers import (
     channel_decide,
     forward_preacts,
+    fraction_fold,
     golden_model,
     int_preacts,
     planes_wherever_allowed,
@@ -232,21 +234,52 @@ class TestFusedThreshold:
         assert thr.decide(np.array([[np.nextafter(1.5, -np.inf)]])).tolist() == [[0]]
 
 
+# signed zeros, subnormals, the normal range's ends and plain values
+FOLD_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-308, 1e-300,
+    0.5, -1.0, 3.0, 1e300, -1e308, 1.7976931348623157e308,
+]
+
+
+class TestIntegerFold:
+    """from_batchnorm's integer arithmetic against the Fraction fold."""
+
+    def check(self, gamma, beta, mean, var):
+        thr = engine.FusedThreshold.from_batchnorm(gamma, beta, mean, var)
+        orientation, theta = fraction_fold(gamma, beta, mean, var)
+        assert np.array_equal(thr.orientation, orientation)
+        assert np.array_equal(thr.theta, theta)
+        assert np.array_equal(np.signbit(thr.theta), np.signbit(theta))
+
+    def test_random_channels(self):
+        rng = np.random.default_rng(31)
+        n = 3000
+        self.check(
+            rng.normal(0, 1, n), rng.normal(0, 1, n), rng.normal(0, 1, n), rng.uniform(0, 3, n)
+        )
+
+    def test_edge_grid(self):
+        variances = [v for v in FOLD_EDGES if v >= 0]
+        grid = itertools.product(FOLD_EDGES, FOLD_EDGES, FOLD_EDGES, variances)
+        self.check(*np.array(list(grid)).T)
+
+
 class TestRoundOutward:
     def test_nearest_float_on_each_side(self):
         rng = np.random.default_rng(8)
         pairs = rng.integers(-(10**12), 10**12, size=(200, 2))
         values = [Fraction(int(a), int(b)) for a, b in pairs if b]
         for t in values + [Fraction(3, 2), Fraction(0), Fraction(1, 10**400)]:
-            down, up = engine._round_outward(t, up=False), engine._round_outward(t, up=True)
+            n, d = t.numerator, t.denominator
+            down, up = engine._round_outward(n, d, up=False), engine._round_outward(n, d, up=True)
             assert Fraction(down) <= t <= Fraction(up)
             # the two sides meet on a representable t, else they are neighbours
             assert down == up if Fraction(down) == t else up == np.nextafter(down, np.inf)
 
     def test_overflow_goes_to_infinity(self):
         for up in (False, True):
-            assert engine._round_outward(Fraction(10**400), up) == np.inf
-            assert engine._round_outward(Fraction(-(10**400)), up) == -np.inf
+            for t, want in ((Fraction(10**400), np.inf), (Fraction(-(10**400)), -np.inf)):
+                assert engine._round_outward(t.numerator, t.denominator, up) == want
 
 
 def build_random_model(rng, in_hw=6, in_ch=1, classes=3):

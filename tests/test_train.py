@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import float_evaluate
 from sbnn import dataio, engine, metrics, nn
 from sbnn.binquant import PM1_DOMAIN, DataError, ValidationError
 from sbnn.train import (
@@ -12,6 +13,7 @@ from sbnn.train import (
     TrainingDiverged,
     TrainReport,
     cosine_lr,
+    evaluate,
     load_snapshot,
     quantize_network,
     quantize_snapshot,
@@ -218,16 +220,53 @@ class TestTrainLoop:
 
     def test_evaluate_runs_in_the_steps_slices(self, monkeypatch):
         net, data, cfg, ds = small_setup(epochs=2)  # 96 images, batches of 32
-        sizes, real = [], nn.Network.forward
+        sizes, real = [], engine.infer
 
-        def spy(self, x, train=False):
-            if not train:
-                sizes.append(x.shape[0])
-            return real(self, x, train=train)
+        def spy(model, images, **kw):
+            sizes.append(images.shape[0])
+            return real(model, images, **kw)
 
-        monkeypatch.setattr(nn.Network, "forward", spy)
+        monkeypatch.setattr("sbnn.train.infer", spy)
         train(net, data, cfg)
         assert sizes == [32] * 6
+
+    @pytest.mark.parametrize("arch, mode", [
+        ("conv", "analytic"), ("conv", "learned"), ("conv", "pm1"), ("mlp", "analytic"),
+    ])
+    def test_each_epochs_accuracy_is_the_float_networks(self, monkeypatch, arch, mode):
+        """The engine's accuracy on the folded model equals the float
+        network's in eval mode, at every epoch."""
+        ds = dataio.synthetic_classification(seed=3, n=96, classes=3, difficulty=3.0, image_hw=8)
+        if arch == "conv":
+            spec = nn.conv_net_spec(in_ch=1, classes=3, width=4, image_hw=8, omega_mode=mode)
+            images = ds.images
+        else:
+            spec = nn.mlp_spec(in_features=64, classes=3, hidden=16, omega_mode=mode)
+            images = ds.images.reshape(ds.count, -1)
+        cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=5e-3, gamma=0.3,
+                          target_sparsity=0.9, seed=4, omega_mode=mode)
+        net = nn.Network(spec, np.random.default_rng(4))
+        floats, real = [], evaluate
+
+        def both(network, images, labels, batch_size=256):
+            floats.append(float_evaluate(network, images, labels, batch_size))
+            return real(network, images, labels, batch_size)
+
+        monkeypatch.setattr("sbnn.train.evaluate", both)
+        report = train(net, (images, ds.labels), cfg)
+        assert [r["accuracy"] for r in report.records] == floats
+        assert len(floats) == 10
+
+    def test_spec_that_does_not_fold_runs_no_step(self, monkeypatch):
+        spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8)
+        spec = spec[:4] + spec[5:]  # the first binary conv loses its batchnorm
+        net = nn.Network(spec, np.random.default_rng(0))
+        steps = []
+        monkeypatch.setattr("sbnn.train.sbnn_step", lambda *a: steps.append(a))
+        ds = dataio.synthetic_classification(seed=9, n=64, classes=2, image_hw=8)
+        with pytest.raises(ValidationError, match="layer 3 \\(conv3x3\\) must be followed"):
+            train(net, (ds.images, ds.labels), TrainConfig(epochs=2, batch_size=32))
+        assert steps == []
 
 
 class TestSbnnStep:

@@ -47,10 +47,7 @@ def _as_float_vector(w, name="w"):
 def sign_binarize(w):
     """Map real weights to {-1, +1}. Zero maps to +1 so the output never
     contains 0 and the {0,1} round-trip is total."""
-    arr = _as_float_vector(w)
-    out = np.ones(arr.shape, dtype=np.int8)
-    out[arr < 0.0] = -1
-    return out
+    return 1 - 2 * (_as_float_vector(w) < 0.0).view(np.int8)
 
 
 def ste_gradient(upstream, w_latent):

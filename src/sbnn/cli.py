@@ -96,7 +96,7 @@ def _build_parser():
     b.add_argument("--ec", type=float, help="EC for the 2/EC gain line (default: achieved ones fraction)")
     b.add_argument("--out", help="write the report here as well")
 
-    i = sub.add_parser("inspect", help="per-layer domain, ones fraction, entropy")
+    i = sub.add_parser("inspect", help="per-layer domain, ones fraction, entropy, file bytes")
     i.add_argument("--snapshot")
     i.add_argument("--model")
     i.add_argument("--csv", help="write the Hamming histogram CSV here")
@@ -287,8 +287,9 @@ def cmd_inspect(args) -> int:
         raise ValidationError("inspect needs --snapshot or --model")
     if args.model:
         model = modelio.load_model(args.model)
+        names = [name for name, _ in walk_stages(model.stages, model.input_shape)]
         print("layer  tau  phi  alpha  beta  p(ones)  entropy")
-        for stage, (name, _) in zip(model.stages, walk_stages(model.stages, model.input_shape)):
+        for stage, name in zip(model.stages, names):
             if not isinstance(stage, BinStage):
                 continue
             p = stage.packed
@@ -298,6 +299,10 @@ def cmd_inspect(args) -> int:
                 f"{name}  {om.tau:.6g}  {om.phi:.6g}  {om.alpha:.6g}  {om.beta:.6g}  "
                 f"{ones:.4f}  {binary_entropy(ones):.4f}"
             )
+        sizes = [len(part) for part in modelio.encode_parts(model)]
+        print("    bytes    share  part of the model file")
+        for part, size in zip(["header", *names, "crc", "file"], [*sizes, sum(sizes)]):
+            print(f"{size:>9}  {size / sum(sizes):>7.2%}  {part}")
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write(metrics.histograms_csv(model))

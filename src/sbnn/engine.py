@@ -68,10 +68,10 @@ def classify_kernels(bits):
     array whose size is divisible by 9; kernels are consecutive groups of 9
     bits. Returns (tags, (k0, k1, kdense)): one uint8 tag per kernel,
     KERNEL_ZERO (no 1-bits), KERNEL_SINGLE (one) or KERNEL_DENSE (more)."""
-    flat = np.asarray(bits).ravel()
+    flat = np.asarray(bits, dtype=np.uint8).ravel()
     if flat.size % 9:
         raise ValidationError("bit count not divisible by 9")
-    hw = flat.reshape(-1, 9).sum(axis=1)
+    hw = np.einsum("ij->i", flat.reshape(-1, 9))  # uint8; far faster than .sum(axis=1)
     tags = np.minimum(hw, KERNEL_DENSE).astype(np.uint8)
     k0, k1, kd = np.bincount(tags, minlength=3).tolist()
     return tags, (k0, k1, kd)
@@ -222,6 +222,10 @@ class PackedLayer:
     kernel_counts: tuple = field(init=False, default=(0, 0, 0))
 
     def __post_init__(self):
+        shape = (self.out_ch, self.in_ch * (9 if self.kind == "conv3x3" else 1))
+        b = self.bits
+        if getattr(b, "dtype", None) != np.uint8 or b.shape != shape or b.max(initial=0) > 1:
+            raise ValidationError(f"{self.kind} bits must be uint8 in {{0, 1}} of shape {shape}")
         if not self.omega.tau >= 0.0:
             raise ValidationError("packed layers require canonical omega")
         # every eta * z' and alpha * q finite (|z'|, |q| <= fan_in): the

@@ -116,9 +116,6 @@ class _Cursor:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
@@ -141,54 +138,67 @@ def _emit_threshold(out: bytearray, thr: FusedThreshold):
     out += thr.theta.astype("<f8").tobytes()
 
 
+# row v: the low bits of v, MSB first (a Single index's 4, a class code's 2)
+_INDEX_BITS = (np.arange(9)[:, None] >> np.arange(3, -1, -1) & 1).astype(np.uint8)
+_CODE_BITS = _INDEX_BITS[:3, 2:].copy()
+_KERNEL = np.dtype((np.void, 9))  # a kernel's 9 bits as one item
+
+
 def _encode_kernel_payload(packed: PackedLayer) -> bytes:
     if packed.kind != "conv3x3":
         return np.packbits(packed.bits).tobytes()
     tags = packed.kernel_tags
     kernels = packed.bits.reshape(-1, 9)
-    # a tag is its own 2-bit class code; a Single index is 4 bits, MSB first
-    codes = np.unpackbits(tags[:, None], axis=1)[:, 6:]
-    index = kernels[tags == KERNEL_SINGLE].argmax(axis=1).astype(np.uint8)
-    index_bits = np.unpackbits(index[:, None], axis=1)[:, 4:]
-    dense = kernels[tags == KERNEL_DENSE]
-    stream = np.concatenate([codes.ravel(), index_bits.ravel(), dense.ravel()])
-    return np.packbits(stream).tobytes()
+    # take and compress copy whole rows: far faster than fancy indexing here
+    index = np.compress(tags == KERNEL_SINGLE, kernels, axis=0).argmax(axis=1)
+    dense = np.compress(tags == KERNEL_DENSE, kernels, axis=0)
+    stream = [_CODE_BITS.take(tags, axis=0), _INDEX_BITS.take(index, axis=0), dense]
+    return np.packbits(np.concatenate(stream, axis=None)).tobytes()
+
+
+def _encode_stage(stage) -> bytearray:
+    out = bytearray()
+    if isinstance(stage, (FloatStage, BinStage)):
+        binary = isinstance(stage, BinStage)
+        layer = stage.packed if binary else stage
+        conv = layer.kind == "conv3x3"
+        out.append(_TAG_OF[binary, conv])
+        geometry = (layer.in_ch, layer.out_ch, layer.stride, layer.padding)
+        out += struct.pack("<IIII" if conv else "<II", *geometry[: 4 if conv else 2])
+        if binary:
+            out.append(1 if layer.omega.degenerate else 0)
+            out += struct.pack("<dd", layer.omega.tau, layer.omega.phi)
+            _emit_threshold(out, stage.threshold)
+            out += _encode_kernel_payload(layer)
+        else:
+            out.append(1 if layer.takes_bits else 0)
+            out += layer.weight.astype("<f8").tobytes()
+            _emit_threshold(out, stage.threshold)
+    elif isinstance(stage, BitPool):
+        out.append(TAG_POOL)
+    elif isinstance(stage, Head):
+        out.append(TAG_HEAD)
+        out += struct.pack("<II", stage.weight.shape[1], stage.weight.shape[0])
+        out += stage.weight.astype("<f8").tobytes()
+        out += stage.bias.astype("<f8").tobytes()
+    else:
+        raise ValidationError(f"cannot encode stage {type(stage).__name__}")
+    return out
+
+
+def encode_parts(model: QuantizedModel) -> list:
+    """The model file in parts whose join is the file: the header (the 8-byte
+    prefix, classes and input shape), each stage's block, then the crc."""
+    shape = model.input_shape
+    meta = struct.pack(f"<IB{len(shape)}I", model.classes, len(shape), *shape)
+    blocks = [_encode_stage(stage) for stage in model.stages]
+    crc = zlib.crc32(b"".join([meta, *blocks]))
+    prefix = MAGIC + struct.pack("<HH", VERSION, len(model.stages))
+    return [prefix + meta, *blocks, struct.pack("<I", crc)]
 
 
 def encode(model: QuantizedModel) -> bytes:
-    body = bytearray()
-    body += struct.pack("<IB", model.classes, len(model.input_shape))
-    for dim in model.input_shape:
-        body += struct.pack("<I", dim)
-    for stage in model.stages:
-        if isinstance(stage, (FloatStage, BinStage)):
-            binary = isinstance(stage, BinStage)
-            layer = stage.packed if binary else stage
-            conv = layer.kind == "conv3x3"
-            body.append(_TAG_OF[binary, conv])
-            geometry = (layer.in_ch, layer.out_ch, layer.stride, layer.padding)
-            body += struct.pack("<IIII" if conv else "<II", *geometry[: 4 if conv else 2])
-            if binary:
-                body.append(1 if layer.omega.degenerate else 0)
-                body += struct.pack("<dd", layer.omega.tau, layer.omega.phi)
-                _emit_threshold(body, stage.threshold)
-                body += _encode_kernel_payload(layer)
-            else:
-                body.append(1 if layer.takes_bits else 0)
-                body += layer.weight.astype("<f8").tobytes()
-                _emit_threshold(body, stage.threshold)
-        elif isinstance(stage, BitPool):
-            body.append(TAG_POOL)
-        elif isinstance(stage, Head):
-            body.append(TAG_HEAD)
-            body += struct.pack("<II", stage.weight.shape[1], stage.weight.shape[0])
-            body += stage.weight.astype("<f8").tobytes()
-            body += stage.bias.astype("<f8").tobytes()
-        else:
-            raise ValidationError(f"cannot encode stage {type(stage).__name__}")
-    head = MAGIC + struct.pack("<HH", VERSION, len(model.stages))
-    crc = zlib.crc32(bytes(body))
-    return head + bytes(body) + struct.pack("<I", crc)
+    return b"".join(encode_parts(model))
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +251,16 @@ def _decode_kernel_payload(cur: _Cursor, kind, out_ch, fan_in):
     tags = 2 * codes[0::2] + codes[1::2]
     if (tags > KERNEL_DENSE).any():
         raise ModelFileError(f"invalid kernel class code 0b11 at offset {cur.pos}")
-    single = np.flatnonzero(tags == KERNEL_SINGLE)
-    dense = np.flatnonzero(tags == KERNEL_DENSE)
+    single = (tags == KERNEL_SINGLE).nonzero()[0]
+    dense = (tags == KERNEL_DENSE).nonzero()[0]
     stream = _take_bits(cur, 2 * kernels + 4 * single.size + 9 * dense.size)[2 * kernels :]
     index = stream[: 4 * single.size].reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
     if (index > 8).any():
         raise ModelFileError(f"single-kernel index {index.max()} out of range 0..8")
     bits = np.zeros((kernels, 9), dtype=np.uint8)
-    bits[single, index] = 1
-    bits[dense] = stream[4 * single.size :].reshape(-1, 9)
+    # 1-D scatters, far faster than 2-D fancy writes: Dense kernels as items
+    bits.reshape(-1)[9 * single + index] = 1
+    np.put(bits.view(_KERNEL), dense, stream[4 * single.size :].reshape(-1, 9).view(_KERNEL))
     counts = (kernels - single.size - dense.size, single.size, dense.size)
     return bits.reshape(out_ch, fan_in), counts
 

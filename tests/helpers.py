@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sbnn import engine, nn
+from sbnn import engine, modelio, nn
 from sbnn.binquant import OmegaParams, ValidationError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -98,17 +98,18 @@ def dense_sign_dot(w_bits, x_signs):
     return int(sum(int(x) for b, x in zip(w_bits, x_signs) if b == 1))
 
 
+def _random_threshold(rng, n):
+    return engine.FusedThreshold.from_batchnorm(
+        rng.normal(1.0, 0.5, n), rng.normal(0, 0.5, n),
+        rng.normal(0, 1.0, n), rng.uniform(0.05, 2.0, n),
+    )
+
+
 def golden_model():
     """A fixed, seeded quantized model: float stem, a binary 3x3 conv whose
     kernels include Zero, Single at index 0 and at index 8, and Dense, a bit
     pool, a binary linear stage and the head."""
     rng = np.random.default_rng(20231)
-
-    def threshold(n):
-        return engine.FusedThreshold.from_batchnorm(
-            rng.normal(1.0, 0.5, n), rng.normal(0, 0.5, n),
-            rng.normal(0, 1.0, n), rng.uniform(0.05, 2.0, n),
-        )
 
     kernels = (rng.random((5 * 3, 9)) < 0.4).astype(np.uint8)
     kernels[0] = 0
@@ -126,16 +127,49 @@ def golden_model():
     )
     stem = engine.FloatStage(
         kind="conv3x3", in_ch=1, out_ch=3, stride=1, padding=1,
-        weight=rng.normal(size=(3, 1, 3, 3)), threshold=threshold(3),
+        weight=rng.normal(size=(3, 1, 3, 3)), threshold=_random_threshold(rng, 3),
     )
     stages = [
         stem,
-        engine.BinStage(packed=conv, threshold=threshold(5)),
+        engine.BinStage(packed=conv, threshold=_random_threshold(rng, 5)),
         engine.BitPool(),
-        engine.BinStage(packed=linear, threshold=threshold(7)),
+        engine.BinStage(packed=linear, threshold=_random_threshold(rng, 7)),
         engine.Head(weight=rng.normal(size=(2, 7)), bias=rng.normal(size=2)),
     ]
     return engine.QuantizedModel(stages=stages, input_shape=(1, 8, 8), classes=2)
+
+
+def dense_heavy_model():
+    """A fixed, seeded quantized model whose binary conv is mostly Dense: a
+    float stem, a 4 -> 8 binary conv at 50 % ones (32 kernels, with one Zero
+    and one Single at index 4 among them), a bit pool, a binary linear stage
+    and the head."""
+    rng = np.random.default_rng(20232)
+
+    kernels = (rng.random((8 * 4, 9)) < 0.5).astype(np.uint8)
+    kernels[0] = 0
+    kernels[1] = np.eye(9, dtype=np.uint8)[4]
+    conv = engine.PackedLayer(
+        kind="conv3x3", in_ch=4, out_ch=8, stride=1, padding=1,
+        bits=kernels.reshape(8, 36), omega=OmegaParams(tau=0.25, phi=0.1),
+    )
+    linear = engine.PackedLayer(
+        kind="linear", in_ch=8 * 3 * 3, out_ch=5, stride=1, padding=0,
+        bits=(rng.random((5, 72)) < 0.5).astype(np.uint8),
+        omega=OmegaParams(tau=0.4, phi=-0.05),
+    )
+    stem = engine.FloatStage(
+        kind="conv3x3", in_ch=1, out_ch=4, stride=1, padding=1,
+        weight=rng.normal(size=(4, 1, 3, 3)), threshold=_random_threshold(rng, 4),
+    )
+    stages = [
+        stem,
+        engine.BinStage(packed=conv, threshold=_random_threshold(rng, 8)),
+        engine.BitPool(),
+        engine.BinStage(packed=linear, threshold=_random_threshold(rng, 5)),
+        engine.Head(weight=rng.normal(size=(3, 5)), bias=rng.normal(size=3)),
+    ]
+    return engine.QuantizedModel(stages=stages, input_shape=(1, 6, 6), classes=3)
 
 
 def with_crc(data):
@@ -213,6 +247,73 @@ def float_evaluate(network, images, labels, batch_size=256):
         logits = network.forward(images[lo : lo + batch_size], train=False)
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[lo : lo + batch_size]))
     return hits / images.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the bulk passes of quantize, save and load: the masked write,
+# the row sums, and the fancy-indexed codec they replaced
+# ---------------------------------------------------------------------------
+
+def masked_sign_binarize(w):
+    """sign_binarize as a masked write: +1 everywhere, then -1 where w < 0."""
+    arr = np.asarray(w, dtype=np.float64).reshape(-1)
+    if arr.size < 1:
+        raise ValidationError("w must have at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("w contains non-finite entries")
+    out = np.ones(arr.shape, dtype=np.int8)
+    out[arr < 0.0] = -1
+    return out
+
+
+def summed_classify_kernels(bits):
+    """classify_kernels with each kernel's ones summed over its row of 9."""
+    flat = np.asarray(bits).ravel()
+    if flat.size % 9:
+        raise ValidationError("bit count not divisible by 9")
+    tags = np.minimum(flat.reshape(-1, 9).sum(axis=1), engine.KERNEL_DENSE).astype(np.uint8)
+    return tags, tuple(np.bincount(tags, minlength=3).tolist())
+
+
+def unpacked_encode_kernel_payload(packed):
+    """The kernel payload with its codes and indices unpacked from rows of
+    one byte, and its Dense kernels picked by a boolean mask."""
+    if packed.kind != "conv3x3":
+        return np.packbits(packed.bits).tobytes()
+    tags = packed.kernel_tags
+    kernels = packed.bits.reshape(-1, 9)
+    codes = np.unpackbits(tags[:, None], axis=1)[:, 6:]
+    index = kernels[tags == engine.KERNEL_SINGLE].argmax(axis=1).astype(np.uint8)
+    index_bits = np.unpackbits(index[:, None], axis=1)[:, 4:]
+    dense = kernels[tags == engine.KERNEL_DENSE]
+    stream = np.concatenate([codes.ravel(), index_bits.ravel(), dense.ravel()])
+    return np.packbits(stream).tobytes()
+
+
+def scattered_decode_kernel_payload(cur, kind, out_ch, fan_in):
+    """The kernel payload decoded by fancy-indexed writes into zeroed bits:
+    (bits, (zero, single, dense) counts), as modelio's decoder returns them."""
+    if kind != "conv3x3":
+        return modelio._take_bits(cur, out_ch * fan_in).reshape(out_ch, fan_in), (0, 0, 0)
+    kernels = out_ch * (fan_in // 9)
+    head = cur.data[cur.pos : cur.pos + (2 * kernels + 7) // 8]
+    if 4 * len(head) < kernels:
+        raise modelio.TruncatedStream(f"{kernels} kernel class codes at offset {cur.pos}")
+    codes = np.unpackbits(np.frombuffer(head, dtype=np.uint8), count=2 * kernels)
+    tags = 2 * codes[0::2] + codes[1::2]
+    if (tags > engine.KERNEL_DENSE).any():
+        raise modelio.ModelFileError(f"invalid kernel class code 0b11 at offset {cur.pos}")
+    single = np.flatnonzero(tags == engine.KERNEL_SINGLE)
+    dense = np.flatnonzero(tags == engine.KERNEL_DENSE)
+    stream = modelio._take_bits(cur, 2 * kernels + 4 * single.size + 9 * dense.size)[2 * kernels :]
+    index = stream[: 4 * single.size].reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
+    if (index > 8).any():
+        raise modelio.ModelFileError(f"single-kernel index {index.max()} out of range 0..8")
+    bits = np.zeros((kernels, 9), dtype=np.uint8)
+    bits[single, index] = 1
+    bits[dense] = stream[4 * single.size :].reshape(-1, 9)
+    counts = (kernels - single.size - dense.size, single.size, dense.size)
+    return bits.reshape(out_ch, fan_in), counts
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sbnn import binquant as bq
 
-from helpers import brute_force_omega, central_diff, quant_sq_loss
+from helpers import brute_force_omega, central_diff, masked_sign_binarize, quant_sq_loss
 
 
 def rand_weights(rng, n):
@@ -34,6 +34,29 @@ class TestSignBinarize:
     def test_rejects_inf(self):
         with pytest.raises(bq.ValidationError):
             bq.sign_binarize([np.inf])
+
+    @pytest.mark.parametrize("shape", [(1,), (648,), (64, 64, 3, 3)])
+    def test_matches_the_masked_write_on_random_weights(self, shape):
+        w = np.random.default_rng(len(shape)).normal(size=shape)
+        out = bq.sign_binarize(w)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, masked_sign_binarize(w))
+
+    def test_matches_the_masked_write_on_edge_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e308, -1e308,
+                          np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0])
+        out = bq.sign_binarize(edges)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, masked_sign_binarize(edges))
+        assert out.tolist() == [1, 1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_anywhere(self, bad):
+        w = np.ones(100)
+        w[57] = bad
+        with pytest.raises(bq.ValidationError, match="non-finite"):
+            bq.sign_binarize(w)
 
 
 class TestSteGradient:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import golden_model, with_crc
+from helpers import dense_heavy_model, golden_model, with_crc
 from sbnn import cli, dataio, engine, modelio, nn
 from sbnn.binquant import DataError, DegenerateSignError, ValidationError
 from sbnn.cli import main
@@ -248,6 +248,26 @@ class TestQuantizeEvalBenchInspect:
         out = capsys.readouterr().out
         assert "tau" in out and "entropy" in out
         assert csv_path.read_text().startswith("layer,hw0")
+
+    @pytest.mark.parametrize("make", [golden_model, dense_heavy_model])
+    def test_inspect_model_prints_each_parts_bytes(self, make, tmp_path, capsys):
+        """One line per part of the file: the header, each stage by its
+        walk name, the crc; they add up to the file's size."""
+        model, path = make(), tmp_path / "m.sbnn"
+        modelio.save_model(path, model)
+        capsys.readouterr()
+        assert run_cli(["inspect", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("    bytes    share  part of the model file") + 1
+        table = [line.split() for line in lines[start:]]
+        names = [name for name, _ in engine.walk_stages(model.stages, model.input_shape)]
+        assert [row[2] for row in table] == ["header", *names, "crc", "file"]
+        sizes = [int(row[0]) for row in table]
+        assert sum(sizes[:-1]) == sizes[-1] == path.stat().st_size
+        assert sizes[0] == 8 + 4 + 1 + 4 * len(model.input_shape) and sizes[-2] == 4
+        head = model.stages[-1]
+        assert sizes[-3] == 1 + 8 + 8 * (head.weight.size + head.bias.size)
+        assert table[-1][1] == "100.00%"
 
     def test_inspect_snapshot(self, trained_run, capsys):
         code = run_cli(["inspect", "--snapshot", str(trained_run / "snapshot.npz")])

@@ -17,6 +17,7 @@ from helpers import (
     reference_affine_remap,
     reference_decide,
     reference_decide_channel,
+    summed_classify_kernels,
     tied_threshold,
     training_float_preact,
     window_rows_stem_preact,
@@ -90,6 +91,67 @@ class TestKernelClass:
     def test_not_divisible(self):
         with pytest.raises(ValidationError):
             engine.classify_kernels(np.zeros(10, dtype=np.uint8))
+
+    def test_every_nine_bit_kernel_matches_the_row_sums(self):
+        every = np.unpackbits(np.arange(512, dtype=">u2").view(np.uint8)).reshape(512, 16)[:, 7:]
+        tags, counts = engine.classify_kernels(every)
+        expect_tags, expect_counts = summed_classify_kernels(every)
+        assert tags.dtype == np.uint8 and np.array_equal(tags, expect_tags)
+        assert counts == expect_counts == (1, 9, 502)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    def test_random_layers_match_the_row_sums(self, p):
+        bits = (np.random.default_rng(7).random((64, 64 * 9)) < p).astype(np.uint8)
+        tags, counts = engine.classify_kernels(bits)
+        expect_tags, expect_counts = summed_classify_kernels(bits)
+        assert np.array_equal(tags, expect_tags) and counts == expect_counts
+
+    def test_bool_bits_count_as_ones(self):
+        bits = np.ones(18, dtype=bool)
+        assert engine.classify_kernels(bits)[1] == (0, 0, 2)
+
+
+class TestPackedLayerBits:
+    """A PackedLayer holds uint8 {0, 1} bits shaped as its geometry says:
+    (out_ch, in_ch * 9) for a conv, (out_ch, in_ch) for a linear stage."""
+
+    def _layer(self, kind, in_ch, bits):
+        return engine.PackedLayer(
+            kind=kind, in_ch=in_ch, out_ch=3, stride=1, padding=0, bits=bits,
+            omega=OmegaParams(tau=1.0, phi=0.0),
+        )
+
+    def test_conv_bits_of_another_fan_in(self):
+        # (3, 9) bits for in_ch = 2 once walked and encoded, then failed to load
+        with pytest.raises(ValidationError, match=r"of shape \(3, 18\)"):
+            self._layer("conv3x3", 2, np.ones((3, 9), dtype=np.uint8))
+
+    def test_linear_bits_of_another_width(self):
+        # 5 columns for in_ch = 4 once wrote a file that read "unknown stage tag"
+        with pytest.raises(ValidationError, match=r"of shape \(3, 4\)"):
+            self._layer("linear", 4, np.ones((3, 5), dtype=np.uint8))
+
+    @pytest.mark.parametrize("kind, in_ch", [("conv3x3", 1), ("linear", 9)])
+    def test_values_above_one(self, kind, in_ch):
+        # a 2 once saved as a 1: a different model
+        bits = np.zeros((3, 9), dtype=np.uint8)
+        bits[1, 4] = 2
+        with pytest.raises(ValidationError, match=r"in \{0, 1\}"):
+            self._layer(kind, in_ch, bits)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float64])
+    def test_other_dtypes(self, dtype):
+        with pytest.raises(ValidationError, match="must be uint8"):
+            self._layer("conv3x3", 1, np.ones((3, 9), dtype=dtype))
+
+    def test_a_list_of_bits(self):
+        with pytest.raises(ValidationError, match="must be uint8"):
+            self._layer("linear", 2, [[0, 1], [1, 0], [1, 1]])
+
+    def test_bits_that_fit_are_kept(self):
+        bits = np.eye(3, 9, dtype=np.uint8)
+        assert self._layer("conv3x3", 1, bits).bits is bits
+        assert self._layer("linear", 9, bits).bits is bits
 
 
 class TestAffineRemap:

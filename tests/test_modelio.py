@@ -1,11 +1,19 @@
 import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from helpers import golden_model, reference_kernel_payload, with_crc
+from helpers import (
+    dense_heavy_model,
+    golden_model,
+    reference_kernel_payload,
+    scattered_decode_kernel_payload,
+    unpacked_encode_kernel_payload,
+    with_crc,
+)
 from sbnn import dataio, engine, metrics, modelio, nn
 from sbnn.binquant import OmegaParams
 from sbnn.train import quantize_network
@@ -294,6 +302,81 @@ class TestKernelPayload:
         assert np.array_equal(back, bits)
 
 
+def _oracle_layers():
+    """Conv layers that are all Zero, all Single, all Dense, every 9-bit
+    kernel once, and mixed at several one-bit fractions; linear stages."""
+    rng = np.random.default_rng(24)
+    eye = np.eye(9, dtype=np.uint8)
+    every = np.unpackbits(np.arange(512, dtype=">u2").view(np.uint8)).reshape(512, 16)[:, 7:]
+    dense = every[every.sum(axis=1) >= 2]
+    convs = [
+        np.zeros((6, 5 * 9), dtype=np.uint8),
+        eye[rng.integers(0, 9, 30)].reshape(6, 45),
+        dense[rng.integers(0, dense.shape[0], 30)].reshape(6, 45),
+        rng.permutation(every).reshape(8, 64 * 9),
+    ]
+    convs += [(rng.random((7, 11 * 9)) < p).astype(np.uint8) for p in (0.02, 0.1, 0.3, 0.5, 0.9)]
+    layers = [
+        engine.PackedLayer(kind="conv3x3", in_ch=b.shape[1] // 9, out_ch=b.shape[0], stride=1,
+                           padding=0, bits=b, omega=OmegaParams(tau=1.0, phi=0.0))
+        for b in convs
+    ]
+    for out_ch, in_ch, p in ((1, 1, 0.5), (3, 13, 0.3), (7, 80, 0.5), (16, 64, 0.05)):
+        bits = (rng.random((out_ch, in_ch)) < p).astype(np.uint8)
+        layers.append(engine.PackedLayer(kind="linear", in_ch=in_ch, out_ch=out_ch, stride=1,
+                                         padding=0, bits=bits, omega=OmegaParams(tau=1.0, phi=0.0)))
+    return layers
+
+
+def _decode_with(decoder, payload, kind, out_ch, fan_in):
+    """(bits, counts, bytes read) of one payload, or the error's (type, text)."""
+    cur = modelio._Cursor(payload)
+    try:
+        bits, counts = decoder(cur, kind, out_ch, fan_in)
+    except modelio.ModelFileError as exc:
+        return type(exc), str(exc)
+    return bits, counts, cur.pos
+
+
+class TestCodecMatchesTheOracles:
+    """The bulk codec against the fancy-indexed one it replaced."""
+
+    @pytest.mark.parametrize("layer", _oracle_layers(), ids=lambda l: f"{l.kind}-{l.bits.shape}")
+    def test_encode_and_decode(self, layer):
+        payload = modelio._encode_kernel_payload(layer)
+        assert payload == unpacked_encode_kernel_payload(layer)
+        args = (payload, layer.kind, layer.out_ch, layer.fan_in)
+        bits, counts, read = _decode_with(modelio._decode_kernel_payload, *args)
+        expected = _decode_with(scattered_decode_kernel_payload, *args)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, expected[0])
+        assert np.array_equal(bits, layer.bits)
+        assert counts == expected[1] == layer.kernel_counts  # (0, 0, 0) for a linear stage
+        assert read == expected[2] == len(payload)
+
+    def test_decoders_agree_on_edited_payloads(self):
+        """A random conv payload with up to three bits flipped, cut short or
+        not: both decoders raise the same error, or read the same bytes into
+        the same bits."""
+        rng = np.random.default_rng(25)
+        for _ in range(1000):
+            out_ch, in_ch = (int(v) for v in rng.integers(1, 6, size=2))
+            bits = (rng.random((out_ch, 9 * in_ch)) < rng.uniform(0.0, 0.5)).astype(np.uint8)
+            layer = engine.PackedLayer(kind="conv3x3", in_ch=in_ch, out_ch=out_ch, stride=1,
+                                       padding=0, bits=bits, omega=OmegaParams(tau=1.0, phi=0.0))
+            payload = np.frombuffer(modelio._encode_kernel_payload(layer), dtype=np.uint8).copy()
+            flips = rng.integers(0, 8 * payload.size, size=int(rng.integers(0, 4)))
+            np.bitwise_xor.at(payload, flips // 8, (0x80 >> flips % 8).astype(np.uint8))
+            payload = payload[: int(rng.integers(0, payload.size + 1))].tobytes()
+            args = (payload, "conv3x3", out_ch, 9 * in_ch)
+            got = _decode_with(modelio._decode_kernel_payload, *args)
+            expect = _decode_with(scattered_decode_kernel_payload, *args)
+            if len(expect) == 2:
+                assert got[0] is expect[0]
+                assert got[0] is modelio.TruncatedStream or got[1] == expect[1]
+            else:
+                assert np.array_equal(got[0], expect[0]) and got[1:] == expect[1:]
+
+
 class TestMalformedFiles:
     """Decode errors are ModelFileError, raised before arrays are sized
     from declared counts the file cannot hold."""
@@ -422,3 +505,52 @@ class TestMalformedFiles:
             loaded += 1
             assert modelio.encode(model) == bytes(data), f"bit {bit}"
         assert loaded > 500  # most edits change a float or a weight bit
+
+
+class TestEveryEditOfAFile:
+    """Every single-bit edit (crc fixed up) of the Dense-heavy model's file
+    either raises a ModelFileError or loads a model that re-encodes to the
+    edited bytes, and every truncation of it and of the golden file raises
+    a ModelFileError: no other exception, and no allocation sized from a
+    count before its bytes are read. (The golden file's bit edits are
+    sampled in TestMalformedFiles.)"""
+
+    PEAK_BYTES = 1 << 20
+
+    def _decode(self, data):
+        """The model, or None for a ModelFileError; the traced peak of the
+        call stays under PEAK_BYTES."""
+        tracemalloc.reset_peak()
+        try:
+            return modelio.decode(data)
+        except modelio.ModelFileError:
+            return None
+        finally:
+            assert tracemalloc.get_traced_memory()[1] < self.PEAK_BYTES
+
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    def test_every_single_bit_edit(self):
+        original = modelio.encode(dense_heavy_model())
+        loaded = 0
+        for bit in range(8 * (len(original) - 4)):
+            data = bytearray(original)
+            data[bit // 8] ^= 0x80 >> bit % 8
+            data = with_crc(data)
+            model = self._decode(data)
+            if model is not None:
+                loaded += 1
+                assert modelio.encode(model) == data, f"bit {bit}"
+        assert loaded > 4 * len(original)  # most edits change a float or a weight bit
+
+    @pytest.mark.parametrize("make", [golden_model, dense_heavy_model])
+    def test_every_truncation(self, make):
+        original = modelio.encode(make())
+        for end in range(len(original)):
+            assert self._decode(original[:end]) is None
+            if 8 <= end < len(original) - 4:  # the body cut short, under its crc
+                assert self._decode(with_crc(original[:end] + bytes(4))) is None

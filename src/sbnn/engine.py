@@ -519,6 +519,11 @@ class FloatStage:
     threshold: FusedThreshold
     takes_bits: bool = False
 
+    def __post_init__(self):
+        shape = (self.out_ch, self.in_ch) + ((3, 3) if self.kind == "conv3x3" else ())
+        if np.shape(self.weight) != shape:
+            raise ValidationError(f"{self.kind} weight of shape {np.shape(self.weight)}, not {shape}")
+
     @property
     def label(self) -> str:
         return f"fp_{self.kind}"
@@ -571,6 +576,11 @@ class Head:
     bias: np.ndarray
     label = "head"
 
+    def __post_init__(self):
+        w, b = np.shape(self.weight), np.shape(self.bias)
+        if len(w) != 2 or b != w[:1]:
+            raise ValidationError(f"head weight {w} and bias {b}: want 2-D, one bias per row")
+
     def forward(self, x_bits, counters: OpsCounters):
         x = 2.0 * x_bits.reshape(x_bits.shape[0], -1).astype(np.float64) - 1.0
         if x.shape[1] != self.weight.shape[1]:
@@ -601,7 +611,8 @@ def walk_stages(stages, input_shape):
     gives: a conv its channel count and a window that fits its (padded) map,
     a pool an even-sized map, a linear stage or the head its flattened
     feature count. A weighted stage or the head with no inputs or no
-    outputs is rejected too."""
+    outputs is rejected too, and so is a chain whose last stage is not the
+    head or with a head anywhere else."""
     shape, walked = tuple(input_shape), []
     for i, stage in enumerate(stages):
         if isinstance(stage, BitPool):
@@ -637,17 +648,16 @@ def walk_stages(stages, input_shape):
                 raise ValidationError(f"stage {i}: conv window does not fit a {shape[1:]} map")
             shape = (layer.out_ch,) + hw
         walked.append((f"s{i}_{stage.label}", shape))
+    if [i for i, s in enumerate(stages) if isinstance(s, Head)] != [len(stages) - 1]:
+        raise ValidationError("the stage chain does not end in the head")
     return walked
 
 
 def _batch(model, images):
-    """The images as a float64 (B, C, H, W) batch (one (C, H, W) image gets a
-    batch axis). Raises a DataError unless the batch holds at least one
-    image, each image has the model's input shape and every value is
-    finite."""
+    """The images as a float64 (B, C, H, W) batch. Raises a DataError
+    unless the batch holds at least one image, each image has the model's
+    input shape and every value is finite."""
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[None]
     if images.shape[1:] != tuple(model.input_shape):
         raise DataError(f"input shape {images.shape[1:]} != model {tuple(model.input_shape)}")
     if images.shape[0] == 0:

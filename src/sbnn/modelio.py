@@ -337,8 +337,6 @@ def decode(data: bytes) -> QuantizedModel:
         walk_stages(stages, in_shape)
     except ValidationError as exc:  # a stage chain that does not fit
         raise ModelFileError(str(exc)) from exc
-    if not stages or not isinstance(stages[-1], Head):
-        raise ModelFileError("the stage chain does not end in the head")
     if classes != stages[-1].bias.size:
         raise ModelFileError(f"{stages[-1].bias.size} head outputs for {classes} classes")
     return QuantizedModel(stages=stages, input_shape=in_shape, classes=classes)

@@ -351,27 +351,26 @@ class BatchNorm(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         axes, bshape = self._shape_for(x)
+        mean = x.mean(axis=axes) if train else self.running_mean
+        xc = x - mean.reshape(bshape)
         if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            var = np.sum(xc * xc, axis=axes) / (x.size // x.shape[1])  # np.var's own steps
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
-        self._cache = (x, xhat, mean, inv_std, axes, bshape, train)
+        xhat = xc * inv_std.reshape(bshape)
+        # no backward follows an inference forward, so it keeps no cache
+        self._cache = (xc, xhat, inv_std, axes, bshape) if train else None
         return self.gamma.value.reshape(bshape) * xhat + self.beta.value.reshape(bshape)
 
     def backward(self, grad_out):
-        x, xhat, mean, inv_std, axes, bshape, train = self._cache
+        xc, xhat, inv_std, axes, bshape = self._cache
         self.gamma.grad += np.sum(grad_out * xhat, axis=axes)
         self.beta.grad += np.sum(grad_out, axis=axes)
         dxhat = grad_out * self.gamma.value.reshape(bshape)
-        if not train:
-            return dxhat * inv_std.reshape(bshape)
-        m = x.size // x.shape[1]
-        xc = x - mean.reshape(bshape)
+        m = xc.size // xc.shape[1]
         istd = inv_std.reshape(bshape)
         dvar = np.sum(dxhat * xc, axis=axes) * (-0.5) * inv_std**3
         dmean = np.sum(dxhat, axis=axes) * (-inv_std) + dvar * np.sum(-2.0 * xc, axis=axes) / m

@@ -367,11 +367,13 @@ def check_foldable(spec) -> int:
     `spec`: its head's outputs. Raises a ValidationError for a spec it cannot
     fold: a conv or linear layer before the head not followed by batchnorm
     and sign, a binarized first layer, a layer of another kind than those,
-    pool and flatten, or a last stage other than a full-precision
-    classifier."""
-    i, first_real, classes = 0, True, None  # classes: the last stage's, if a head
+    pool and flatten, a last stage other than a full-precision classifier,
+    or a layer other than a flatten after the classifier."""
+    i, first_real, classes = 0, True, None  # classes: the head's, once it is met
     while i < len(spec):
         ls, step = spec[i], 1
+        if classes is not None and ls.kind != "flatten":
+            raise ValidationError(f"layer {i} ({ls.kind}) follows the classifier")
         if ls.kind in ("conv3x3", "linear", "classifier") and _is_head(spec, i):
             classes = ls.out_ch
         elif ls.kind in ("conv3x3", "linear"):
@@ -381,10 +383,8 @@ def check_foldable(spec) -> int:
                 )
             if ls.binarized and first_real:
                 raise ValidationError("first layer cannot be binarized")
-            first_real, classes, step = False, None, 3
-        elif ls.kind == "pool":
-            classes = None
-        elif ls.kind != "flatten":  # a flatten folds into no stage
+            first_real, step = False, 3
+        elif ls.kind not in ("pool", "flatten"):  # a flatten folds into no stage
             raise ValidationError(f"cannot quantize layer {i} ({ls.kind})")
         i += step
     if classes is None:

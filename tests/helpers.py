@@ -172,6 +172,30 @@ def dense_heavy_model():
     return engine.QuantizedModel(stages=stages, input_shape=(1, 6, 6), classes=3)
 
 
+def head_before_last_model():
+    """A float linear 4 -> 8, a head 8 -> 6, a binary linear 6 -> 8 and a
+    head 8 -> 2 on (1, 2, 2) images: every stage takes the width the one
+    before it gives, but the first head is not the last stage."""
+    rng = np.random.default_rng(25)
+    stages = [
+        engine.FloatStage(
+            kind="linear", in_ch=4, out_ch=8, stride=1, padding=0,
+            weight=rng.normal(size=(8, 4)), threshold=_random_threshold(rng, 8),
+        ),
+        engine.Head(weight=rng.normal(size=(6, 8)), bias=rng.normal(size=6)),
+        engine.BinStage(
+            packed=engine.PackedLayer(
+                kind="linear", in_ch=6, out_ch=8, stride=1, padding=0,
+                bits=(rng.random((8, 6)) < 0.5).astype(np.uint8),
+                omega=OmegaParams(tau=0.5, phi=0.0),
+            ),
+            threshold=_random_threshold(rng, 8),
+        ),
+        engine.Head(weight=rng.normal(size=(2, 8)), bias=rng.normal(size=2)),
+    ]
+    return engine.QuantizedModel(stages=stages, input_shape=(1, 2, 2), classes=2)
+
+
 def with_crc(data):
     """A model file with its trailing crc recomputed over the edited body."""
     return bytes(data[:-4]) + struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
@@ -458,6 +482,39 @@ def reference_conv3x3_backward(layer, grad_out, input_grad=True):
     g = grad_out.reshape(grad_out.shape[0], layer.spec.out_ch, -1)
     layer.backward_weight(reference_conv_weight_grad(g, cols).reshape(layer.weight.value.shape))
     return reference_conv_input_grad(g, wf, geom)
+
+
+def reference_batchnorm_forward(layer, x, train=False):
+    """Drop-in for nn.BatchNorm.forward computed the direct way: np.var for
+    the batch variance, and the input centered again for xhat."""
+    x = np.asarray(x, dtype=np.float64)
+    axes, bshape = layer._shape_for(x)
+    if train:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        layer.running_mean = (1 - layer.momentum) * layer.running_mean + layer.momentum * mean
+        layer.running_var = (1 - layer.momentum) * layer.running_var + layer.momentum * var
+    else:
+        mean, var = layer.running_mean, layer.running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
+    layer._reference_cache = (x, xhat, mean, inv_std, axes, bshape)
+    return layer.gamma.value.reshape(bshape) * xhat + layer.beta.value.reshape(bshape)
+
+
+def reference_batchnorm_backward(layer, grad_out):
+    """Drop-in for nn.BatchNorm.backward after a training forward, centering
+    the input a third time."""
+    x, xhat, mean, inv_std, axes, bshape = layer._reference_cache
+    layer.gamma.grad += np.sum(grad_out * xhat, axis=axes)
+    layer.beta.grad += np.sum(grad_out, axis=axes)
+    dxhat = grad_out * layer.gamma.value.reshape(bshape)
+    m = x.size // x.shape[1]
+    xc = x - mean.reshape(bshape)
+    istd = inv_std.reshape(bshape)
+    dvar = np.sum(dxhat * xc, axis=axes) * (-0.5) * inv_std**3
+    dmean = np.sum(dxhat, axis=axes) * (-inv_std) + dvar * np.sum(-2.0 * xc, axis=axes) / m
+    return dxhat * istd + dvar.reshape(bshape) * 2.0 * xc / m + dmean.reshape(bshape) / m
 
 
 # ---------------------------------------------------------------------------

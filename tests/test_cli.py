@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import dense_heavy_model, golden_model, with_crc
+from helpers import dense_heavy_model, golden_model, head_before_last_model, with_crc
 from sbnn import cli, dataio, engine, modelio, nn
 from sbnn.binquant import DataError, DegenerateSignError, ValidationError
 from sbnn.cli import main
@@ -491,6 +491,16 @@ class TestCraftedModelFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("command", ["bench", "inspect"])
+    def test_head_before_the_last_stage(self, tmp_path, capsys, command):
+        """Such a file once passed bench and inspect, and infer then raised
+        "binary stage fed non-bit activations"."""
+        path = tmp_path / "crafted.sbnn"
+        path.write_bytes(modelio.encode(head_before_last_model()))
+        assert run_cli([command, "--model", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "does not end in the head" in err
+
     @pytest.mark.parametrize("command", ["eval", "bench"])
     def test_empty_conv_output_map(self, tmp_path, capsys, command):
         """On 2x8 images the padded stem gives a (3, 2, 8) map, and the
@@ -856,10 +866,12 @@ class TestConfigFile:
 
 
 def test_module_entrypoint_smoke(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-m", "sbnn.cli", "train", "--synthetic", "--samples",
          "32", "--epochs", "1", "--width", "4", "--seed", "1",
          "--out", str(tmp_path / "r")],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=300,

@@ -154,6 +154,40 @@ class TestPackedLayerBits:
         assert self._layer("linear", 9, bits).bits is bits
 
 
+class TestFloatStageAndHeadShapes:
+    """A FloatStage's weight is (out_ch, in_ch, 3, 3) for a conv and
+    (out_ch, in_ch) for a linear stage; a Head's weight is 2-D with one bias
+    per row. Any other shape is rejected as the stage is built."""
+
+    def _stage(self, kind, weight):
+        return engine.FloatStage(
+            kind=kind, in_ch=4, out_ch=8, stride=1, padding=1, weight=weight, threshold=None,
+        )
+
+    def test_linear_weight_of_another_width(self):
+        # an (8, 5) weight for in_ch = 4 once wrote a file that read
+        # "threshold orientation other than +-1", and infer failed in matmul
+        with pytest.raises(ValidationError, match=r"not \(8, 4\)"):
+            self._stage("linear", np.zeros((8, 5)))
+
+    def test_conv_weight_of_another_window(self):
+        with pytest.raises(ValidationError, match=r"not \(8, 4, 3, 3\)"):
+            self._stage("conv3x3", np.zeros((8, 4, 3, 2)))
+
+    def test_conv_weight_flattened(self):
+        with pytest.raises(ValidationError, match=r"not \(8, 4, 3, 3\)"):
+            self._stage("conv3x3", np.zeros((8, 36)))
+
+    def test_head_weight_not_2d(self):
+        with pytest.raises(ValidationError, match=r"weight \(2, 3, 1\) and bias \(2,\)"):
+            engine.Head(weight=np.zeros((2, 3, 1)), bias=np.zeros(2))
+
+    def test_head_bias_per_row(self):
+        # 3 biases for 2 rows once left "8 unread bytes after last stage"
+        with pytest.raises(ValidationError, match=r"weight \(2, 7\) and bias \(3,\)"):
+            engine.Head(weight=np.zeros((2, 7)), bias=np.zeros(3))
+
+
 class TestAffineRemap:
     def test_pm1_recovery(self):
         om = OmegaParams.from_xi_eta(-0.5, 2.0)

@@ -92,8 +92,9 @@ def model_with_bits(bit_rows, in_ch=2, out_ch=4):
     thr = engine.FusedThreshold.from_batchnorm(
         np.ones(out_ch), np.zeros(out_ch), np.zeros(out_ch), np.ones(out_ch)
     )
+    head = engine.Head(weight=np.zeros((2, out_ch * 4 * 4)), bias=np.zeros(2))
     return engine.QuantizedModel(
-        stages=[engine.BinStage(packed=packed, threshold=thr)],
+        stages=[engine.BinStage(packed=packed, threshold=thr), head],
         input_shape=(in_ch, 6, 6),
         classes=2,
     )

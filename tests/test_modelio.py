@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     dense_heavy_model,
     golden_model,
+    head_before_last_model,
     reference_kernel_payload,
     scattered_decode_kernel_payload,
     unpacked_encode_kernel_payload,
@@ -475,6 +476,11 @@ class TestMalformedFiles:
         else:
             with pytest.raises(modelio.ModelFileError, match=f"degenerate flag {flag}, tau "):
                 modelio.decode(data)
+
+    def test_head_before_the_last_stage(self):
+        # such a file once loaded, and infer then raised a DataError
+        with pytest.raises(modelio.ModelFileError, match="^the stage chain does not end in the head$"):
+            modelio.decode(modelio.encode(head_before_last_model()))
 
     @pytest.mark.parametrize("classes", [0, 1, 3, 2**32 - 1])
     def test_classes_equal_head_outputs(self, classes):

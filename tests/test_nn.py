@@ -11,6 +11,8 @@ from helpers import (
     dense_sign_dot,
     forward_binary_conv,
     forward_binary_linear,
+    reference_batchnorm_backward,
+    reference_batchnorm_forward,
     reference_conv3x3_backward,
     reference_conv3x3_forward,
     reference_conv_forward,
@@ -166,6 +168,38 @@ class TestLayers:
             layer.forward(rng.normal(1.0, 2.0, size=(32, 2)), train=True)
         y = layer.forward(np.array([[1.0, 1.0]]), train=False)
         assert np.all(np.abs(y) < 0.5)  # near the running mean
+
+    @pytest.mark.parametrize("shape", [(64, 5), (32, 12, 4, 4), (16, 16, 14, 14), (8, 3, 2, 2)])
+    def test_batchnorm_matches_the_np_var_oracle(self, shape):
+        """Centering the input once gives the outputs, every gradient and
+        the running statistics of np.var and a recentered backward, bit for
+        bit, over training steps and an inference forward after them."""
+        c, rng = shape[1], np.random.default_rng(shape[1])
+        layer, oracle = (nn.BatchNorm(nn.LayerSpec("batchnorm", out_ch=c)) for _ in range(2))
+        gamma, beta = rng.normal(1.0, 0.5, size=c), rng.normal(0.0, 0.5, size=c)
+        for bn in (layer, oracle):
+            bn.gamma.value[...], bn.beta.value[...] = gamma, beta
+        for _ in range(3):
+            x = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=shape)
+            g = rng.normal(size=shape)
+            y = layer.forward(x, train=True)
+            assert np.array_equal(y, reference_batchnorm_forward(oracle, x, train=True))
+            assert np.array_equal(layer.backward(g), reference_batchnorm_backward(oracle, g))
+            for got, want in [
+                (layer.gamma.grad, oracle.gamma.grad), (layer.beta.grad, oracle.beta.grad),
+                (layer.running_mean, oracle.running_mean), (layer.running_var, oracle.running_var),
+            ]:
+                assert np.array_equal(got, want)
+        x = rng.normal(size=shape)
+        assert np.array_equal(layer.forward(x), reference_batchnorm_forward(oracle, x))
+
+    def test_batchnorm_inference_forward_keeps_no_cache(self):
+        layer = nn.BatchNorm(nn.LayerSpec("batchnorm", out_ch=2))
+        x = np.random.default_rng(2).normal(size=(8, 2))
+        layer.forward(x, train=True)
+        assert layer._cache is not None
+        layer.forward(x)
+        assert layer._cache is None
 
     def test_conv_padding_bounded(self):
         nn.LayerSpec("conv3x3", in_ch=1, out_ch=1, padding=nn.MAX_CONV_PADDING)

@@ -268,6 +268,28 @@ class TestTrainLoop:
             train(net, (ds.images, ds.labels), TrainConfig(epochs=2, batch_size=32))
         assert steps == []
 
+    def test_spec_with_a_layer_after_its_classifier_runs_no_step(self, monkeypatch):
+        """Such a spec once ran every step of the epoch before evaluate
+        failed with "binary stage fed non-bit activations"."""
+        spec = (
+            nn.LayerSpec("flatten"),
+            nn.LayerSpec("linear", in_ch=4, out_ch=8),
+            nn.LayerSpec("batchnorm", out_ch=8),
+            nn.LayerSpec("signact"),
+            nn.LayerSpec("classifier", in_ch=8, out_ch=6),
+            nn.LayerSpec("linear", in_ch=6, out_ch=8, binarized=True),
+            nn.LayerSpec("batchnorm", out_ch=8),
+            nn.LayerSpec("signact"),
+            nn.LayerSpec("classifier", in_ch=8, out_ch=2),
+        )
+        net = nn.Network(spec, np.random.default_rng(0))
+        steps = []
+        monkeypatch.setattr("sbnn.train.sbnn_step", lambda *a: steps.append(a))
+        ds = dataio.synthetic_classification(seed=9, n=64, classes=2, image_hw=2)
+        with pytest.raises(ValidationError, match="layer 5 \\(linear\\) follows the classifier"):
+            train(net, (ds.images, ds.labels), TrainConfig(epochs=1, batch_size=32))
+        assert steps == []
+
 
 class TestSbnnStep:
     def test_step_returns_penalty_parts(self):

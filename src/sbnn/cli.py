@@ -205,6 +205,8 @@ def cmd_train(args) -> int:
         )
         images = ds.images.reshape(ds.count, -1)
     else:
+        if ds.image_shape[1] != ds.image_shape[2]:
+            raise DataError(f"--arch conv needs square images, not {ds.image_shape[1:]} pixels")
         spec = conv_net_spec(
             in_ch=ds.image_shape[0],
             classes=ds.classes,

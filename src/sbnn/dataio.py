@@ -7,6 +7,7 @@ with the recorded per-channel constants.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -83,20 +84,6 @@ def load_cifar10_binary(path) -> Dataset:
     return Dataset(images, labels, 10, mean=CIFAR_MEAN.copy(), std=CIFAR_STD.copy())
 
 
-def write_cifar10_binary(path, images_u8, labels):
-    """Writer for the same record format (testing/fixtures). `images_u8` is
-    (n, 3, 32, 32) uint8 raw pixels."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    rec = np.concatenate(
-        [labels[:, None], images_u8.reshape(images_u8.shape[0], -1)], axis=1
-    )
-    if rec.shape[1] != CIFAR_RECORD:
-        raise SizeMismatch("images must be (n, 3, 32, 32)")
-    with open(path, "wb") as fh:
-        fh.write(rec.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # IDX containers (big-endian dims; magic 0x803 = u8 images, 0x801 = u8 labels)
 # ---------------------------------------------------------------------------
@@ -118,42 +105,27 @@ def _read_idx_array(path, expect_magic):
     if len(raw) < header:
         raise SizeMismatch(f"{path}: truncated dimension block")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)
     body = np.frombuffer(raw[header:], dtype=np.uint8)
     if body.size != expected:
         raise SizeMismatch(f"{path}: payload {body.size} != dims product {expected}")
-    return body.reshape(dims)
+    return body, dims  # unshaped: numpy refuses dims whose nonzero product overflows
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image file (n, h, w) plus its label file (n,), with
     max(label) + 1 classes. Pixels normalize to zero mean / unit scale with
     the recorded constants."""
-    imgs = _read_idx_array(images_path, IDX_IMAGES_MAGIC)
-    labels = _read_idx_array(labels_path, IDX_LABELS_MAGIC).astype(np.int64)
-    if imgs.shape[0] != labels.shape[0]:
-        raise CountMismatch(
-            f"{imgs.shape[0]} images vs {labels.shape[0]} labels"
-        )
+    pixels, (n, h, w) = _read_idx_array(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx_array(labels_path, IDX_LABELS_MAGIC)[0].astype(np.int64)
+    if n != labels.size:
+        raise CountMismatch(f"{n} images vs {labels.size} labels")
     if labels.size < 1:
         raise DataError("empty dataset")
-    x, mean, std = _standardized(imgs.astype(np.float64)[:, None, :, :] / 255.0)
+    if h * w == 0:
+        raise DataError(f"{images_path}: images of {h}x{w} pixels hold no values")
+    x, mean, std = _standardized(pixels.reshape(n, 1, h, w) / 255.0)
     return Dataset(x, labels, int(labels.max()) + 1, mean=mean, std=std)
-
-
-def write_idx_images(path, images_u8):
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    n, h, w = images_u8.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(images_u8.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.size))
-        fh.write(labels.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -110,19 +110,6 @@ class TrainReport:
         )
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "TrainReport":
-        rep = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if obj.get("final"):
-                rep.final_snapshot_id = obj["snapshot_id"]
-            else:
-                rep.records.append(obj)
-        return rep
-
 
 class Adam:
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -357,24 +344,19 @@ def load_snapshot(path) -> Snapshot:
 # quantization: trained network -> engine model
 # ---------------------------------------------------------------------------
 
-def _is_head(spec, i) -> bool:
-    """Whether weighted layer i of `spec` folds into the full-precision head."""
-    return spec[i].kind == "classifier" or (not spec[i].binarized and i + 1 == len(spec))
-
-
 def check_foldable(spec) -> int:
     """The classes of the model quantize_network folds from a network of
-    `spec`: its head's outputs. Raises a ValidationError for a spec it cannot
-    fold: a conv or linear layer before the head not followed by batchnorm
-    and sign, a binarized first layer, a layer of another kind than those,
-    pool and flatten, a last stage other than a full-precision classifier,
-    or a layer other than a flatten after the classifier."""
+    `spec`: its classifier's outputs, the one head. Raises a ValidationError
+    for a spec it cannot fold: a conv or linear layer not followed by
+    batchnorm and sign, a binarized first layer, a layer of another kind than
+    those, pool and flatten, a last stage other than a full-precision
+    classifier, or a layer other than a flatten after the classifier."""
     i, first_real, classes = 0, True, None  # classes: the head's, once it is met
     while i < len(spec):
         ls, step = spec[i], 1
         if classes is not None and ls.kind != "flatten":
             raise ValidationError(f"layer {i} ({ls.kind}) follows the classifier")
-        if ls.kind in ("conv3x3", "linear", "classifier") and _is_head(spec, i):
+        if ls.kind == "classifier":
             classes = ls.out_ch
         elif ls.kind in ("conv3x3", "linear"):
             if [s.kind for s in spec[i + 1 : i + 3]] != ["batchnorm", "signact"]:
@@ -423,7 +405,7 @@ def quantize_network(network: Network, input_shape, classes, mode=None) -> Quant
         spec = layer.spec
         if spec.kind == "pool":
             stages.append(BitPool())
-        elif spec.kind in ("conv3x3", "linear", "classifier") and _is_head(network.spec, i):
+        elif spec.kind == "classifier":
             bias = layer.bias.value.copy() if layer.bias is not None else np.zeros(spec.out_ch)
             stages.append(Head(weight=layer.weight.value.copy(), bias=bias))
         elif spec.kind in ("conv3x3", "linear"):

@@ -6,6 +6,7 @@ arithmetic.
 """
 
 import contextlib
+import json
 import math
 import struct
 import zlib
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sbnn import engine, modelio, nn
+from sbnn import dataio, engine, modelio, nn, train
 from sbnn.binquant import OmegaParams, ValidationError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -628,3 +629,42 @@ def forward_preacts(stage, x, counters, skip):
     zprime = np.concatenate([z for z, _ in slices], axis=1)
     q = np.concatenate([q for _, q in slices])
     return bits, zprime, q, q_out
+
+
+def write_cifar10_binary(path, images_u8, labels):
+    """Write CIFAR-10 binary records, a label byte then 3072 pixels each.
+    `images_u8` is (n, 3, 32, 32) uint8 raw pixels."""
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    rec = np.concatenate([labels[:, None], images_u8.reshape(images_u8.shape[0], -1)], axis=1)
+    assert rec.shape[1] == dataio.CIFAR_RECORD, "images must be (n, 3, 32, 32)"
+    with open(path, "wb") as fh:
+        fh.write(rec.tobytes())
+
+
+def write_idx_images(path, images_u8):
+    """Write (n, h, w) uint8 images as an IDX image file."""
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", dataio.IDX_IMAGES_MAGIC, *images_u8.shape))
+        fh.write(images_u8.tobytes())
+
+
+def write_idx_labels(path, labels):
+    """Write uint8 labels as an IDX label file."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", dataio.IDX_LABELS_MAGIC, labels.size))
+        fh.write(labels.tobytes())
+
+
+def report_from_jsonl(text):
+    """The TrainReport whose to_jsonl() gave `text`."""
+    report = train.TrainReport()
+    for line in text.splitlines():
+        obj = json.loads(line)
+        if obj.get("final"):
+            report.final_snapshot_id = obj["snapshot_id"]
+        else:
+            report.records.append(obj)
+    return report

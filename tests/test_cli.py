@@ -12,11 +12,19 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import dense_heavy_model, golden_model, head_before_last_model, with_crc
+from helpers import (
+    dense_heavy_model,
+    golden_model,
+    head_before_last_model,
+    report_from_jsonl,
+    with_crc,
+    write_idx_images,
+    write_idx_labels,
+)
 from sbnn import cli, dataio, engine, modelio, nn
 from sbnn.binquant import DataError, DegenerateSignError, ValidationError
 from sbnn.cli import main
-from sbnn.train import SnapshotError, TrainReport, load_snapshot
+from sbnn.train import SnapshotError, load_snapshot
 
 
 def run_cli(args):
@@ -54,7 +62,7 @@ class TestTrain:
              "--seed", "1", "--width", "4", "--out", str(tmp_path / "r")]
         )
         assert code == 0
-        report = TrainReport.from_jsonl((tmp_path / "r" / "report.jsonl").read_text())
+        report = report_from_jsonl((tmp_path / "r" / "report.jsonl").read_text())
         assert report.records == []
         assert report.final_snapshot_id
 
@@ -89,7 +97,7 @@ class TestTrain:
         assert "gamma=0.1" in cfg_text and "seed=7" in cfg_text
 
     def test_report_schema(self, trained_run):
-        report = TrainReport.from_jsonl((trained_run / "report.jsonl").read_text())
+        report = report_from_jsonl((trained_run / "report.jsonl").read_text())
         assert len(report.records) == 4
         for rec in report.records:
             for key in ("epoch", "loss", "j", "lambda", "ones_fraction", "accuracy"):
@@ -512,8 +520,8 @@ class TestCraftedModelFiles:
         path = tmp_path / "crafted.sbnn"
         path.write_bytes(modelio.encode(engine.QuantizedModel(stages, (1, 2, 8), 2)))
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        dataio.write_idx_images(images, np.arange(4 * 16, dtype=np.uint8).reshape(4, 2, 8))
-        dataio.write_idx_labels(labels, np.array([0, 1, 0, 1]))
+        write_idx_images(images, np.arange(4 * 16, dtype=np.uint8).reshape(4, 2, 8))
+        write_idx_labels(labels, np.array([0, 1, 0, 1]))
         args = ["--idx-images", str(images), "--idx-labels", str(labels)]
         assert run_cli([command, "--model", str(path)] + (args if command == "eval" else [])) == 3
         err = capsys.readouterr().err
@@ -920,8 +928,8 @@ class TestErrorClassPicksExitCode:
     def test_empty_dataset_is_a_data_error(self, tmp_path, capsys):
         # it exited 2, as a configuration error, while its class was ValidationError
         ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
-        dataio.write_idx_images(ipath, np.zeros((0, 8, 8), dtype=np.uint8))
-        dataio.write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
+        write_idx_images(ipath, np.zeros((0, 8, 8), dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli(
@@ -1033,6 +1041,42 @@ class TestBadInput:
             "error: layer 3 (conv3x3) must be followed by batchnorm and sign\n"
         )
         assert not (out / "snapshot.npz").exists()
+
+    def test_idx_header_whose_dims_product_wraps(self, tmp_path, capsys):
+        """(2**31, 2**31, 4) multiplies to 0 in uint64, so the empty body
+        once passed the size check and reshape raised a traceback."""
+        ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
+        ipath.write_bytes(struct.pack(">IIII", dataio.IDX_IMAGES_MAGIC, 2**31, 2**31, 4))
+        write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
+        code = run_cli(
+            ["train", "--idx-images", str(ipath), "--idx-labels", str(lpath),
+             "--epochs", "1", "--out", str(tmp_path / "r")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {ipath}: payload 0 != dims product {2**64}\n"
+        )
+
+    def test_conv_arch_on_non_square_images(self, tmp_path, capsys, monkeypatch):
+        """The conv net's classifier width assumes square images: 10x8 ones
+        once failed in the first step's matmul."""
+        ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx_images(ipath, np.arange(4 * 80, dtype=np.uint8).reshape(4, 10, 8))
+        write_idx_labels(lpath, np.array([0, 1, 0, 1]))
+
+        def no_network(*args):
+            pytest.fail("the network was built")
+
+        monkeypatch.setattr(cli, "Network", no_network)
+        code = run_cli(
+            ["train", "--idx-images", str(ipath), "--idx-labels", str(lpath),
+             "--epochs", "1", "--width", "4", "--out", str(tmp_path / "r")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: --arch conv needs square images, not (10, 8) pixels\n"
+        )
+        assert not (tmp_path / "r" / "snapshot.npz").exists()
 
     def test_step_values_count_the_largest_array(self):
         spec = nn.conv_net_spec(in_ch=1, classes=2, width=4, image_hw=8)

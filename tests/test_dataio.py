@@ -1,8 +1,12 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import write_cifar10_binary, write_idx_images, write_idx_labels
 from sbnn import dataio
 from sbnn.binquant import DataError, ValidationError
 
@@ -40,7 +44,7 @@ class TestCifarBinary:
         imgs = rng.integers(0, 256, size=(10, 3, 32, 32)).astype(np.uint8)
         labels = rng.integers(0, 10, size=10).astype(np.uint8)
         path = tmp_path / "rt.bin"
-        dataio.write_cifar10_binary(path, imgs, labels)
+        write_cifar10_binary(path, imgs, labels)
         ds = dataio.load_cifar10_binary(path)
         assert ds.count == 10
         assert np.array_equal(ds.labels, labels)
@@ -53,7 +57,7 @@ class TestCifarBinary:
         imgs = rng.integers(0, 256, size=(4, 3, 32, 32)).astype(np.uint8)
         labels = rng.integers(0, 10, size=4).astype(np.uint8)
         path = tmp_path / "det.bin"
-        dataio.write_cifar10_binary(path, imgs, labels)
+        write_cifar10_binary(path, imgs, labels)
         a = dataio.load_cifar10_binary(path)
         b = dataio.load_cifar10_binary(path)
         assert np.array_equal(a.images, b.images)
@@ -62,51 +66,77 @@ class TestCifarBinary:
 class TestIdx:
     def test_minimal_file(self, tmp_path):
         ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
-        dataio.write_idx_images(ipath, np.array([[[7]]], dtype=np.uint8))
-        dataio.write_idx_labels(lpath, np.array([0], dtype=np.uint8))
+        write_idx_images(ipath, np.array([[[7]]], dtype=np.uint8))
+        write_idx_labels(lpath, np.array([0], dtype=np.uint8))
         ds = dataio.load_idx(ipath, lpath)
         assert ds.count == 1
         assert ds.images.shape == (1, 1, 1, 1)
 
     def test_wrong_magic(self, tmp_path):
         ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
-        dataio.write_idx_labels(ipath, np.array([0], dtype=np.uint8))  # labels magic
-        dataio.write_idx_labels(lpath, np.array([0], dtype=np.uint8))
+        write_idx_labels(ipath, np.array([0], dtype=np.uint8))  # labels magic
+        write_idx_labels(lpath, np.array([0], dtype=np.uint8))
         with pytest.raises(dataio.BadMagic):
             dataio.load_idx(ipath, lpath)
 
     def test_count_mismatch(self, tmp_path):
         ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
-        dataio.write_idx_images(ipath, np.zeros((3, 2, 2), dtype=np.uint8))
-        dataio.write_idx_labels(lpath, np.zeros(2, dtype=np.uint8))
+        write_idx_images(ipath, np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(2, dtype=np.uint8))
         with pytest.raises(dataio.CountMismatch):
             dataio.load_idx(ipath, lpath)
 
     def test_no_images_is_one_data_error(self, tmp_path):
         # checked before standardizing, which would warn on an empty mean
         ipath, lpath = tmp_path / "img.idx", tmp_path / "lab.idx"
-        dataio.write_idx_images(ipath, np.zeros((0, 2, 2), dtype=np.uint8))
-        dataio.write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
+        write_idx_images(ipath, np.zeros((0, 2, 2), dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
         with pytest.raises(DataError, match="empty dataset"):
             dataio.load_idx(ipath, lpath)
 
     def test_truncated_payload(self, tmp_path):
         ipath = tmp_path / "img.idx"
-        dataio.write_idx_images(ipath, np.zeros((2, 2, 2), dtype=np.uint8))
+        write_idx_images(ipath, np.zeros((2, 2, 2), dtype=np.uint8))
         data = ipath.read_bytes()
         ipath.write_bytes(data[:-3])
         lpath = tmp_path / "lab.idx"
-        dataio.write_idx_labels(lpath, np.zeros(2, dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(2, dtype=np.uint8))
         with pytest.raises(dataio.SizeMismatch):
             dataio.load_idx(ipath, lpath)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(0, 8) | st.integers(0, 2**32 - 1)] * 3),
+        body=st.binary(max_size=64),
+        labels=st.lists(st.integers(0, 255), max_size=8),
+    )
+    # dims whose product wraps to 0 in uint64
+    @example(dims=(2**31, 2**31, 4), body=b"", labels=[])
+    # no images, but numpy's size check multiplies the other two dims past 2**63
+    @example(dims=(0, 3_036_988_439, 3_037_012_561), body=b"", labels=[])
+    # images without pixels: standardizing them took the mean of an empty array
+    @example(dims=(1, 0, 5), body=b"", labels=[0])
+    @example(dims=(2, 3, 0), body=b"", labels=[0, 1])
+    def test_any_header_gives_a_dataset_or_a_data_error(self, tmp_path_factory, dims, body, labels):
+        """Whatever the dims, body and labels: a Dataset, or one DataError
+        (and no warning, which the test settings turn into an error)."""
+        tmp = tmp_path_factory.mktemp("idx")
+        ipath, lpath = tmp / "img.idx", tmp / "lab.idx"
+        ipath.write_bytes(struct.pack(">IIII", dataio.IDX_IMAGES_MAGIC, *dims) + body)
+        lpath.write_bytes(struct.pack(">II", dataio.IDX_LABELS_MAGIC, len(labels)) + bytes(labels))
+        try:
+            ds = dataio.load_idx(ipath, lpath)
+        except DataError:
+            return
+        assert ds.images.shape == (len(labels), 1, *dims[1:])
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         imgs = rng.integers(0, 256, size=(6, 4, 4)).astype(np.uint8)
         labels = rng.integers(0, 3, size=6).astype(np.uint8)
         ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
-        dataio.write_idx_images(ipath, imgs)
-        dataio.write_idx_labels(lpath, labels)
+        write_idx_images(ipath, imgs)
+        write_idx_labels(lpath, labels)
         ds = dataio.load_idx(ipath, lpath)
         assert np.array_equal(ds.labels, labels)
         raw = (ds.images * ds.std + ds.mean) * 255.0

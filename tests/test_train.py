@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import float_evaluate
+from helpers import float_evaluate, report_from_jsonl
 from sbnn import dataio, engine, metrics, nn
 from sbnn.binquant import PM1_DOMAIN, DataError, ValidationError
 from sbnn.train import (
     Adam,
     TrainConfig,
     TrainingDiverged,
-    TrainReport,
     cosine_lr,
     evaluate,
     load_snapshot,
@@ -143,7 +142,7 @@ class TestTrainLoop:
         net, data, cfg, ds = small_setup(epochs=3)
         report = train(net, data, cfg)
         report.final_snapshot_id = "abc123"
-        back = TrainReport.from_jsonl(report.to_jsonl())
+        back = report_from_jsonl(report.to_jsonl())
         assert back.records == report.records
         assert back.final_snapshot_id == "abc123"
 
@@ -287,6 +286,34 @@ class TestTrainLoop:
         monkeypatch.setattr("sbnn.train.sbnn_step", lambda *a: steps.append(a))
         ds = dataio.synthetic_classification(seed=9, n=64, classes=2, image_hw=2)
         with pytest.raises(ValidationError, match="layer 5 \\(linear\\) follows the classifier"):
+            train(net, (ds.images, ds.labels), TrainConfig(epochs=1, batch_size=32))
+        assert steps == []
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ((nn.LayerSpec("conv3x3", in_ch=3, out_ch=2),), "layer 3 \\(conv3x3\\) must be followed"),
+            (
+                (nn.LayerSpec("flatten"), nn.LayerSpec("linear", in_ch=48, out_ch=2)),
+                "layer 4 \\(linear\\) must be followed",
+            ),
+        ],
+        ids=["conv", "linear"],
+    )
+    def test_spec_that_ends_in_a_full_precision_layer_runs_no_step(self, monkeypatch, layers, message):
+        """The classifier is the only head. A spec ending in a full-precision
+        conv once ran every step of its first epoch before quantize_network
+        failed with "head weight (2, 3, 3, 3) and bias (2,): want 2-D"."""
+        spec = (
+            nn.LayerSpec("conv3x3", in_ch=1, out_ch=3, padding=1),
+            nn.LayerSpec("batchnorm", out_ch=3),
+            nn.LayerSpec("signact"),
+        ) + layers
+        net = nn.Network(spec, np.random.default_rng(0))
+        steps = []
+        monkeypatch.setattr("sbnn.train.sbnn_step", lambda *a: steps.append(a))
+        ds = dataio.synthetic_classification(seed=9, n=64, classes=2, image_hw=6)
+        with pytest.raises(ValidationError, match=message):
             train(net, (ds.images, ds.labels), TrainConfig(epochs=1, batch_size=32))
         assert steps == []
 

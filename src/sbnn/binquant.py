@@ -50,15 +50,17 @@ def sign_binarize(w):
     return 1 - 2 * (_as_float_vector(w) < 0.0).view(np.int8)
 
 
+def ste_mask(w_latent):
+    """Where the clipped straight-through estimator passes a gradient: |w| <= 1."""
+    return np.abs(w_latent) <= 1.0
+
+
 def ste_gradient(upstream, w_latent):
-    """Clipped straight-through gradient: `upstream * (|w| <= 1)`, which
+    """Clipped straight-through gradient: `upstream * ste_mask(w)`, which
     passes `upstream` where the latent value is in [-1, 1] (inclusive) and
     zeroes it elsewhere; a NaN or infinite upstream at a clipped value gives
-    NaN. Works elementwise on arrays and on scalars."""
-    out = np.asarray(upstream, dtype=np.float64) * (np.abs(w_latent) <= 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    NaN. Works elementwise, a scalar giving a 0-d array."""
+    return np.asarray(upstream, dtype=np.float64) * ste_mask(w_latent)
 
 
 def signs_to_bits(wb):

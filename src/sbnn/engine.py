@@ -46,6 +46,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -180,8 +181,9 @@ class OpsCounters:
     those 4 float ops, but the count keeps the convention, so that the
     counters and metrics.build_ops_report still count a model the same way.
     gather_ops is always 0: no stage gathers. It is kept only because
-    perfbench/pipeline.py still reads it. Under infer, each per_layer entry
-    is named as engine.walk_stages names its stage, s{index}_{label}.
+    perfbench/pipeline.py still reads it. Under infer, each stage has one
+    per_layer entry, named as engine.walk_stages names it, s{index}_{label},
+    with its wall time in `seconds` (a pool's entry holds nothing else).
     """
 
     images: int = 0
@@ -193,9 +195,10 @@ class OpsCounters:
     stage: str = ""  # walk_stages' name of the stage infer is running
 
     def add_layer(self, label, **kw):
-        entry = {"layer": self.stage or label}
-        entry.update(kw)
-        self.per_layer.append(entry)
+        """Under infer, every call for the running stage adds to its one entry."""
+        if not (self.stage and self.per_layer and self.per_layer[-1]["layer"] == self.stage):
+            self.per_layer.append({"layer": self.stage or label})
+        self.per_layer[-1].update(kw)
         self.position_ops += kw.get("position_ops", 0)
         self.word_popcounts += kw.get("word_popcounts", 0)
         self.flops += kw.get("flops", 0)
@@ -686,10 +689,12 @@ def infer(model: QuantizedModel, images, skip: bool = True, workers=None):
     x = images
     for i, stage in enumerate(model.stages):
         counters.stage = f"s{i}_{stage.label}"  # walk_stages' name
+        start = perf_counter()
         if isinstance(stage, BinStage):
             x, _ = stage.forward(x, counters, skip=skip)
         else:
             x = stage.forward(x, counters)
+        counters.add_layer(stage.label, seconds=perf_counter() - start)
     counters.stage = ""
     return x, counters
 

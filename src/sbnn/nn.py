@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .binquant import (
     PM1_DOMAIN,
@@ -22,6 +22,7 @@ from .binquant import (
     fit_omega,
     sign_binarize,
     ste_gradient,
+    ste_mask,
 )
 
 OMEGA_MODES = ("pm1", "analytic", "learned")
@@ -208,10 +209,10 @@ def _conv_out_hw(h, w, stride, pad):
 
 
 def _im2col(x, stride, pad, pad_value):
-    """x (B, C, H, W) -> C-contiguous cols (C*9, B*P), rows in (c, ki, kj)
-    order and columns in (image, output pixel) order, plus the output map
-    (Ho, Wo). The one array training keeps per conv: the forward product
-    reads its transpose, the weight gradient reads it as it is."""
+    """x (B, C, H, W) -> a new C-contiguous array cols (C*9, B*P), rows in
+    (c, ki, kj) order and columns in (image, output pixel) order, plus the
+    output map (Ho, Wo). The training forward's product reads its
+    transpose, the weight gradient reads it as it is."""
     b, c, h, w = x.shape
     ho, wo = _conv_out_hw(h, w, stride, pad)
     if pad:
@@ -219,9 +220,9 @@ def _im2col(x, stride, pad, pad_value):
         xp[:, :, pad : pad + h, pad : pad + w] = x
     else:
         xp = x
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-    return cols.reshape(c * 9, b * ho * wo), (ho, wo)
+    sb, sc, sh, sw = xp.strides
+    win = as_strided(xp, (c, 3, 3, b, ho, wo), (sc, sh, sw, sb, sh * stride, sw * stride))
+    return np.array(win, order="C").reshape(c * 9, b * ho * wo), (ho, wo)
 
 
 def _col2im(dwin, x_shape, stride, pad):
@@ -282,23 +283,23 @@ class Conv3x3(_WeightedLayer):
         x = np.asarray(x, dtype=np.float64)
         cols, hw = _im2col(x, self.spec.stride, self.spec.padding, self.pad_value)
         wf = w_eff.reshape(self.spec.out_ch, -1)
-        self._cache = (cols, wf, x.shape)
+        self._cache = (x, wf)  # the input, not its 9x larger windows
         return _conv_apply(cols.T, wf, hw)
 
     def backward(self, grad_out, input_grad=True):
         """Accumulate the weight gradient; return the input gradient unless
-        input_grad is False. The products are the ones the einsums
-        "bop,bfp->of" and "of,bop->bfp" form, operands laid out alike."""
-        cols, wf, x_shape = self._cache
-        self._cache = None
-        b, o = x_shape[0], wf.shape[0]
+        input_grad is False. The windows are built again, then g @ wf
+        overwrites them. The products are the ones the einsums "bop,bfp->of"
+        and "of,bop->bfp" form, operands laid out alike."""
+        x, wf = self._cache
+        cols, _ = _im2col(x, self.spec.stride, self.spec.padding, self.pad_value)
+        b, o = x.shape[0], wf.shape[0]
         g = grad_out.reshape(b, o, -1).transpose(0, 2, 1).reshape(-1, o)  # (B*P, O)
-        d_wf = (cols @ g).T
-        del cols  # the windows go before the input gradient's arrays are built
-        self.backward_weight(d_wf.reshape(self.weight.value.shape))
+        self.backward_weight((cols @ g).T.reshape(self.weight.value.shape))
         if not input_grad:
             return None
-        return _col2im(g @ wf, x_shape, self.spec.stride, self.spec.padding)
+        dwin = np.matmul(g, wf, out=cols.reshape(g.shape[0], -1))
+        return _col2im(dwin, x.shape, self.spec.stride, self.spec.padding)
 
 
 class Linear(_WeightedLayer):
@@ -362,33 +363,39 @@ class BatchNorm(Layer):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = xc * inv_std.reshape(bshape)
         # no backward follows an inference forward, so it keeps no cache
-        self._cache = (xc, xhat, inv_std, axes, bshape) if train else None
-        return self.gamma.value.reshape(bshape) * xhat + self.beta.value.reshape(bshape)
+        self._cache = (xc, inv_std, axes, bshape) if train else None
+        # C-contiguous, unlike a conv's channels-last x: the sign then returns
+        # C-contiguous values too, and the next conv copies its windows fast
+        y = np.multiply(self.gamma.value.reshape(bshape), xhat, order="C")
+        return np.add(y, self.beta.value.reshape(bshape), out=y)
 
     def backward(self, grad_out):
-        xc, xhat, inv_std, axes, bshape = self._cache
+        xc, inv_std, axes, bshape = self._cache
+        # the forward's x-hat; named, so the product cannot take its layout
+        xhat = xc * inv_std.reshape(bshape)
         self.gamma.grad += np.sum(grad_out * xhat, axis=axes)
+        del xhat
         self.beta.grad += np.sum(grad_out, axis=axes)
         dxhat = grad_out * self.gamma.value.reshape(bshape)
         m = xc.size // xc.shape[1]
         istd = inv_std.reshape(bshape)
         dvar = np.sum(dxhat * xc, axis=axes) * (-0.5) * inv_std**3
-        dmean = np.sum(dxhat, axis=axes) * (-inv_std) + dvar * np.sum(-2.0 * xc, axis=axes) / m
-        return (
-            dxhat * istd
-            + dvar.reshape(bshape) * 2.0 * xc / m
-            + dmean.reshape(bshape) / m
-        )
+        # -2 * sum(xc) is sum(-2 * xc) bit for bit: scaling by 2 is exact
+        dmean = np.sum(dxhat, axis=axes) * (-inv_std) + dvar * (-2.0 * np.sum(xc, axis=axes)) / m
+        dxhat *= istd
+        dxhat += dvar.reshape(bshape) * 2.0 * xc / m
+        dxhat += dmean.reshape(bshape) / m
+        return dxhat
 
 
 class SignAct(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
-        self._cache = x
+        self._cache = ste_mask(x)  # all the straight-through backward reads
         return _binarize(x)
 
     def backward(self, grad_out):
-        return ste_gradient(grad_out, self._cache)
+        return np.asarray(grad_out, dtype=np.float64) * self._cache
 
 
 class MaxPool2x2(Layer):

@@ -25,7 +25,7 @@ from .binquant import (
     fit_omega,
     sign_binarize,
     signs_to_bits,
-    ste_gradient,
+    ste_mask,
 )
 from .engine import (
     BinStage,
@@ -160,7 +160,7 @@ def sbnn_step(network: Network, xb, yb, gamma, ec):
     if lam > 0.0 and j > 0.0:
         n_total = wb.size
         for layer in network.binarized_layers():
-            layer.weight.grad += ste_gradient(lam / (2.0 * n_total), layer.weight.value)
+            layer.weight.grad += lam / (2.0 * n_total) * ste_mask(layer.weight.value)
     return loss, j, lam
 
 

@@ -519,6 +519,92 @@ def reference_batchnorm_backward(layer, grad_out):
 
 
 # ---------------------------------------------------------------------------
+# Training layers that keep everything their backward reads: the conv its
+# (C*9, B*P) window matrix, batchnorm its x-hat, the sign its float64 input.
+# The layers now keep only their input, xc and 1/sigma, and a bool mask, and
+# rebuild the rest; their outputs and every gradient must stay bit-identical
+# to these. They cache in layer._cache, so Network drops the caches as it
+# drops the layers' own.
+# ---------------------------------------------------------------------------
+
+def cached_windows_conv3x3_forward(layer, x, train=False):
+    """Drop-in for nn.Conv3x3.forward that keeps the window matrix."""
+    w_eff, layer._wcache = layer.effective_weight()
+    x = np.asarray(x, dtype=np.float64)
+    cols, hw = nn._im2col(x, layer.spec.stride, layer.spec.padding, layer.pad_value)
+    wf = w_eff.reshape(layer.spec.out_ch, -1)
+    layer._cache = (cols, wf, x.shape)
+    return nn._conv_apply(cols.T, wf, hw)
+
+
+def cached_windows_conv3x3_backward(layer, grad_out, input_grad=True):
+    """Drop-in for nn.Conv3x3.backward after cached_windows_conv3x3_forward."""
+    cols, wf, x_shape = layer._cache
+    layer._cache = None
+    b, o = x_shape[0], wf.shape[0]
+    g = grad_out.reshape(b, o, -1).transpose(0, 2, 1).reshape(-1, o)  # (B*P, O)
+    d_wf = (cols @ g).T
+    del cols
+    layer.backward_weight(d_wf.reshape(layer.weight.value.shape))
+    if not input_grad:
+        return None
+    return nn._col2im(g @ wf, x_shape, layer.spec.stride, layer.spec.padding)
+
+
+def cached_xhat_batchnorm_forward(layer, x, train=False):
+    """Drop-in for nn.BatchNorm.forward that keeps x-hat, in the layout of
+    its input."""
+    x = np.asarray(x, dtype=np.float64)
+    axes, bshape = layer._shape_for(x)
+    mean = x.mean(axis=axes) if train else layer.running_mean
+    xc = x - mean.reshape(bshape)
+    if train:
+        var = np.sum(xc * xc, axis=axes) / (x.size // x.shape[1])
+        layer.running_mean = (1 - layer.momentum) * layer.running_mean + layer.momentum * mean
+        layer.running_var = (1 - layer.momentum) * layer.running_var + layer.momentum * var
+    else:
+        var = layer.running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = xc * inv_std.reshape(bshape)
+    layer._cache = (xc, xhat, inv_std, axes, bshape) if train else None
+    return layer.gamma.value.reshape(bshape) * xhat + layer.beta.value.reshape(bshape)
+
+
+def cached_xhat_batchnorm_backward(layer, grad_out):
+    """Drop-in for nn.BatchNorm.backward after cached_xhat_batchnorm_forward."""
+    xc, xhat, inv_std, axes, bshape = layer._cache
+    layer.gamma.grad += np.sum(grad_out * xhat, axis=axes)
+    layer.beta.grad += np.sum(grad_out, axis=axes)
+    dxhat = grad_out * layer.gamma.value.reshape(bshape)
+    m = xc.size // xc.shape[1]
+    istd = inv_std.reshape(bshape)
+    dvar = np.sum(dxhat * xc, axis=axes) * (-0.5) * inv_std**3
+    dmean = np.sum(dxhat, axis=axes) * (-inv_std) + dvar * np.sum(-2.0 * xc, axis=axes) / m
+    return dxhat * istd + dvar.reshape(bshape) * 2.0 * xc / m + dmean.reshape(bshape) / m
+
+
+def cached_input_signact_forward(layer, x, train=False):
+    """Drop-in for nn.SignAct.forward that keeps its float64 input; the
+    output follows the input's layout."""
+    x = np.asarray(x, dtype=np.float64)
+    layer._cache = x
+    return (x >= 0.0) * 2.0 - 1.0
+
+
+def cached_input_signact_backward(layer, grad_out):
+    """Drop-in for nn.SignAct.backward: the clipped straight-through rule
+    read from the kept input."""
+    return np.asarray(grad_out, dtype=np.float64) * (np.abs(layer._cache) <= 1.0)
+
+
+CACHED_LAYERS = {
+    nn.Conv3x3: (cached_windows_conv3x3_forward, cached_windows_conv3x3_backward),
+    nn.BatchNorm: (cached_xhat_batchnorm_forward, cached_xhat_batchnorm_backward),
+    nn.SignAct: (cached_input_signact_forward, cached_input_signact_backward),
+}
+
+
+# ---------------------------------------------------------------------------
 # Reference binary-stage numerics: the affine remap, threshold decisions and
 # channel packing as the engine computed them before its hot path wrote into
 # preallocated buffers. The engine must stay byte-identical to them.

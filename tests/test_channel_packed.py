@@ -171,8 +171,10 @@ def test_all_zero_layer_matches_reference(in_ch):
 
 
 def _counts(counters):
+    """The counters without the stages' wall times, which differ per call."""
+    per_layer = [{k: v for k, v in e.items() if k != "seconds"} for e in counters.per_layer]
     return (counters.images, counters.position_ops, counters.word_popcounts,
-            counters.flops, counters.per_layer)
+            counters.flops, per_layer)
 
 
 # STAGE_SLICE_VALUES -> windows per slice of the conv (12 rows, 245 windows)

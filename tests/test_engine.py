@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -576,17 +577,25 @@ class TestPerLayerEntries:
     @pytest.mark.parametrize("skip", [True, False])
     @pytest.mark.parametrize("batch", [1, 256])
     def test_names_follow_walk_stages_and_paths_the_rule(self, batch, skip):
-        """infer's per-layer entries carry walk_stages' names (the pool
-        records none), and each binary stage's path is BinStage.path's for
-        its input. The golden conv counts by planes at 256 images with
-        skipping on, and by popcount otherwise."""
+        """infer's per-layer entries carry walk_stages' names, one per stage,
+        and each holds the stage's wall time: non-negative, and all of them
+        together no more than the call's own (the pool's entry holds nothing
+        else). Each binary stage's path is BinStage.path's for its input. The
+        golden conv counts by planes at 256 images with skipping on, and by
+        popcount otherwise."""
         model = golden_model()
         images = np.random.default_rng(64).normal(size=(batch, 1, 8, 8))
+        start = time.perf_counter()
         _, counters = engine.infer(model, images, skip=skip)
+        wall = time.perf_counter() - start
         walked = engine.walk_stages(model.stages, model.input_shape)
-        recorded = [(name, stage) for (name, _), stage in zip(walked, model.stages)
-                    if not isinstance(stage, engine.BitPool)]
-        assert [e["layer"] for e in counters.per_layer] == [name for name, _ in recorded]
+        assert [e["layer"] for e in counters.per_layer] == [name for name, _ in walked]
+        seconds = [e["seconds"] for e in counters.per_layer]
+        assert all(isinstance(t, float) and t >= 0.0 for t in seconds)
+        assert sum(seconds) <= wall
+        assert [e for e in counters.per_layer if e["layer"].endswith("_pool")] == [
+            {"layer": "s2_pool", "seconds": counters.per_layer[2]["seconds"]}
+        ]
         shapes = [tuple(model.input_shape)] + [shape for _, shape in walked]
         paths = [
             stage.path((batch,) + shapes[i], skip)

@@ -7,6 +7,7 @@ from sbnn import dataio, nn, train
 from sbnn.binquant import ValidationError
 
 from helpers import (
+    CACHED_LAYERS,
     clip_surrogate,
     dense_sign_dot,
     forward_binary_conv,
@@ -362,6 +363,26 @@ def _conv_forward_backward(forward, backward, spec, x, g):
     return y, layer.weight.grad, dx
 
 
+def _desk_training():
+    """report.jsonl text and every parameter and running statistic after a
+    3-epoch desk training."""
+    ds = dataio.synthetic_classification(seed=5, n=1024, classes=2, difficulty=3.0, image_hw=8)
+    cfg = train.TrainConfig(
+        epochs=3, batch_size=64, learning_rate=5e-3, gamma=0.5, target_sparsity=0.95, seed=5,
+    )
+    net = nn.Network(
+        nn.conv_net_spec(in_ch=1, classes=2, width=6, image_hw=8),
+        np.random.default_rng(np.random.SeedSequence([5, 0])),
+    )
+    report = train.train(net, (ds.images, ds.labels), cfg)
+    state = {n: p.value.copy() for n, p in net.params()}
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, nn.BatchNorm):
+            state[f"{i}.running_mean"] = layer.running_mean.copy()
+            state[f"{i}.running_var"] = layer.running_var.copy()
+    return report.to_jsonl(), state
+
+
 class TestConvMatchesReference:
     """Conv3x3 output, weight gradient and input gradient are bit-identical
     to the reference conv in tests/helpers.py (fancy-index im2col, np.add.at
@@ -423,30 +444,10 @@ class TestConvMatchesReference:
         assert np.array_equal(rows, cols.transpose(0, 2, 1).reshape(rows.shape))
 
     def test_desk_training_matches_reference(self, monkeypatch):
-        def run():
-            ds = dataio.synthetic_classification(
-                seed=5, n=1024, classes=2, difficulty=3.0, image_hw=8
-            )
-            cfg = train.TrainConfig(
-                epochs=3, batch_size=64, learning_rate=5e-3, gamma=0.5,
-                target_sparsity=0.95, seed=5,
-            )
-            net = nn.Network(
-                nn.conv_net_spec(in_ch=1, classes=2, width=6, image_hw=8),
-                np.random.default_rng(np.random.SeedSequence([5, 0])),
-            )
-            report = train.train(net, (ds.images, ds.labels), cfg)
-            state = {n: p.value.copy() for n, p in net.params()}
-            for i, layer in enumerate(net.layers):
-                if isinstance(layer, nn.BatchNorm):
-                    state[f"{i}.running_mean"] = layer.running_mean.copy()
-                    state[f"{i}.running_var"] = layer.running_var.copy()
-            return report.to_jsonl(), state
-
-        got_report, got_state = run()
+        got_report, got_state = _desk_training()
         monkeypatch.setattr(nn.Conv3x3, "forward", reference_conv3x3_forward)
         monkeypatch.setattr(nn.Conv3x3, "backward", reference_conv3x3_backward)
-        expect_report, expect_state = run()
+        expect_report, expect_state = _desk_training()
         assert got_report == expect_report
         assert got_state.keys() == expect_state.keys()
         for name, value in expect_state.items():
@@ -468,3 +469,147 @@ class TestConvMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * window_bytes
+
+
+def _same_bits(a, b):
+    """Equal shape and values, down to the sign of every zero."""
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _channels_last(rng, shape):
+    """A (B, C, H, W) view of channels-last memory, the layout of the conv
+    output that _conv_apply returns and batchnorm gets."""
+    b, c, h, w = shape
+    return rng.normal(size=(b, h, w, c)).transpose(0, 3, 1, 2)
+
+
+def _use_cached_layers(monkeypatch):
+    for cls, (forward, backward) in CACHED_LAYERS.items():
+        monkeypatch.setattr(cls, "forward", forward)
+        monkeypatch.setattr(cls, "backward", backward)
+
+
+class TestLayersMatchCachedOracle:
+    """Conv3x3, BatchNorm and SignAct keep only their input, xc and 1/sigma,
+    and a bool mask, and rebuild the rest in their backward. Their outputs,
+    every gradient and the running statistics are bit-identical to the
+    layers in tests/helpers.py that keep everything (CACHED_LAYERS)."""
+
+    @staticmethod
+    def run(cls, spec, x, g, oracle, steps=1, **backward_kw):
+        layer = cls(spec, np.random.default_rng(17))
+        forward, backward = CACHED_LAYERS[cls] if oracle else (cls.forward, cls.backward)
+        out = []
+        for _ in range(steps):
+            out.append(forward(layer, x, train=True))
+            out.append(backward(layer, g, **backward_kw))
+            out += [p.grad.copy() for p in layer.params()]
+            if isinstance(layer, nn.BatchNorm):
+                out += [layer.running_mean, layer.running_var]
+        return out
+
+    def check(self, cls, spec, x, g, steps=1, **backward_kw):
+        x_before = x.copy()
+        got = self.run(cls, spec, x, g, False, steps, **backward_kw)
+        assert np.array_equal(x, x_before)  # no write lands in the kept input
+        expect = self.run(cls, spec, x, g, True, steps, **backward_kw)
+        assert len(got) == len(expect)
+        for i, (a, b) in enumerate(zip(got, expect)):
+            assert _same_bits(a, b), i
+
+    @pytest.mark.parametrize("batch, in_ch, hw, stride, padding, layout", [
+        (8, 6, (7, 7), 1, 0, "channels-last"),
+        (8, 6, (7, 7), 1, 0, "C"),
+        (5, 3, (7, 10), 2, 0, "channels-last"),
+        (5, 3, (7, 10), 2, 1, "C"),
+        (5, 3, (7, 10), 1, 1, "channels-last"),
+        (5, 3, (7, 10), 1, 2, "channels-last"),
+        (2, 4, (1, 1), 3, 2, "C"),
+        # one image, one output pixel: the windows of an unpadded 3x3 input
+        # are the input itself, so a copy-free window builder would hand
+        # back a read-only view of it
+        (1, 3, (3, 3), 1, 0, "C"),
+    ])
+    @pytest.mark.parametrize("binarized", [False, True])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_conv(self, batch, in_ch, hw, stride, padding, layout, binarized, input_grad):
+        spec = nn.LayerSpec("conv3x3", in_ch=in_ch, out_ch=5, stride=stride,
+                            padding=padding, binarized=binarized)
+        rng = np.random.default_rng([batch, in_ch, *hw, stride, padding])
+        shape = (batch, in_ch, *hw)
+        x = _channels_last(rng, shape) if layout == "channels-last" else rng.normal(size=shape)
+        ho, wo = ((d + 2 * padding - 3) // stride + 1 for d in hw)
+        g = rng.normal(size=(batch, 5, ho, wo))
+        self.check(nn.Conv3x3, spec, x, g, input_grad=input_grad)
+
+    @pytest.mark.parametrize("shape, layout", [
+        ((64, 32, 10, 10), "channels-last"), ((16, 12, 4, 4), "channels-last"),
+        ((16, 12, 4, 4), "C"), ((64, 5), "C"),
+    ])
+    def test_batchnorm(self, shape, layout):
+        rng = np.random.default_rng(shape)
+        x = _channels_last(rng, shape) * 2.0 + 0.5 if layout == "channels-last" else rng.normal(size=shape)
+        g = rng.normal(size=shape)
+        self.check(nn.BatchNorm, nn.LayerSpec("batchnorm", out_ch=shape[1]), x, g, steps=3)
+
+    @pytest.mark.parametrize("layout", ["channels-last", "C"])
+    def test_signact(self, layout):
+        rng = np.random.default_rng(29)
+        shape = (6, 4, 5, 5)
+        x = _channels_last(rng, shape) if layout == "channels-last" else rng.normal(size=shape)
+        x *= 1.5
+        x[0, :, 0, :] = [-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 2.0)]
+        g = rng.normal(size=shape)
+        self.check(nn.SignAct, nn.LayerSpec("signact"), x, g)
+
+    @pytest.mark.parametrize("name", ["sparse16", "desk", "padded-strided", "mlp"])
+    def test_network_steps(self, monkeypatch, name):
+        """Two steps of a network, its parameters moved between them: the
+        logits, every gradient and the running statistics."""
+        L = nn.LayerSpec
+        spec, shape = {
+            "sparse16": (nn.conv_net_spec(in_ch=1, classes=10, width=16, image_hw=16),
+                         (64, 1, 16, 16)),
+            "desk": (nn.conv_net_spec(in_ch=1, classes=2, width=6, image_hw=8), (64, 1, 8, 8)),
+            "padded-strided": ((
+                L("conv3x3", in_ch=2, out_ch=5, padding=1), L("batchnorm", out_ch=5),
+                L("signact"),
+                L("conv3x3", in_ch=5, out_ch=6, stride=2, padding=2, binarized=True),
+                L("batchnorm", out_ch=6), L("signact"),
+                L("conv3x3", in_ch=6, out_ch=4, padding=1, binarized=True),
+                L("batchnorm", out_ch=4), L("signact"),
+                L("flatten"), L("classifier", in_ch=4 * 6 * 6, out_ch=3, bias=True),
+            ), (7, 2, 9, 9)),
+            "mlp": (nn.mlp_spec(in_features=64, classes=3, hidden=16), (32, 64)),
+        }[name]
+        rng = np.random.default_rng(31)
+        x, y = rng.normal(size=shape), rng.integers(0, 2, shape[0])
+
+        def steps():
+            net = nn.Network(spec, np.random.default_rng(0))
+            out = []
+            for _ in range(2):
+                net.zero_grads()
+                logits = net.forward(x, train=True)
+                net.backward(nn.softmax_cross_entropy(logits, y)[1])
+                out += [logits] + [p.grad.copy() for _, p in net.params()]
+                out += [l.running_var.copy() for l in net.layers if isinstance(l, nn.BatchNorm)]
+                for _, p in net.params():
+                    p.value -= 0.05 * p.grad
+            return out
+
+        got = steps()
+        _use_cached_layers(monkeypatch)
+        expect = steps()
+        assert len(got) == len(expect)
+        for i, (a, b) in enumerate(zip(got, expect)):
+            assert _same_bits(a, b), i
+
+    def test_desk_training(self, monkeypatch):
+        got_report, got_state = _desk_training()
+        _use_cached_layers(monkeypatch)
+        expect_report, expect_state = _desk_training()
+        assert got_report == expect_report
+        assert got_state.keys() == expect_state.keys()
+        for name, value in expect_state.items():
+            assert _same_bits(got_state[name], value), name

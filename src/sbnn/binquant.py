@@ -1,12 +1,12 @@
 """Per-layer binarization math: sign quantization, the two-value weight
 domain, and the closed-form least-squares fit of that domain to real weights.
 
-A layer's binary domain {alpha, beta} is carried in two equivalent
-parametrizations:
+A layer's binary domain {alpha, beta} is stored as (tau, phi):
 
-    (tau, phi):  alpha = -tau + phi,   beta = tau + phi     (tau > 0)
-    (xi, eta):   alpha = xi * eta,     beta = (1 + xi) * eta
+    alpha = -tau + phi,   beta = tau + phi     (tau > 0 canonical)
 
+The engine's remap reads the derived eta = beta - alpha and alpha: a bit
+vector w01 and a +-1 input x give w . x = eta * (w01 . x) + alpha * sum(x).
 A domain with tau == 0 is degenerate: a constant layer, alpha == beta == phi.
 
 Sign weights live in {-1, +1}; bit weights live in {0, 1}; they correspond
@@ -27,10 +27,6 @@ class ValidationError(ValueError):
 class DataError(ValidationError):
     """A file, dataset or batch whose contents cannot be used. The command
     line exits 3 for one, and 2 for any other ValidationError."""
-
-
-class DegenerateSignError(ValidationError):
-    """Sign vector is constant (p in {0, 1}); the closed form has no solution."""
 
 
 def _as_float_vector(w, name="w"):
@@ -98,12 +94,6 @@ class OmegaParams:
     def eta(self) -> float:
         return self.beta - self.alpha
 
-    @property
-    def xi(self) -> float:
-        if self.eta == 0.0:
-            raise ValidationError("degenerate domain has no (xi, eta) form")
-        return self.alpha / self.eta
-
     def canonical(self) -> "OmegaParams":
         """Equivalent domain with tau > 0 (alpha < beta). Swapping the roles
         of the two values is a relabeling: bit 1 then selects the larger one."""
@@ -111,14 +101,8 @@ class OmegaParams:
             return self
         return OmegaParams(tau=-self.tau, phi=self.phi)
 
-    @classmethod
-    def from_xi_eta(cls, xi: float, eta: float) -> "OmegaParams":
-        tau = eta / 2.0
-        phi = eta * (0.5 + xi)
-        return cls(tau=tau, phi=phi)
 
-
-PM1_DOMAIN = OmegaParams(tau=1.0, phi=0.0)  # xi = -1/2, eta = 2: {-1, +1}
+PM1_DOMAIN = OmegaParams(tau=1.0, phi=0.0)  # {-1, +1}: alpha = -1, eta = 2
 
 
 @dataclass(frozen=True)
@@ -157,21 +141,20 @@ def _fit_inputs(w, wb):
     return w, wb, stats
 
 
-def fit_omega_closed_form(w, wb) -> OmegaParams:
+def fit_omega(w, wb) -> OmegaParams:
     """Least-squares-optimal (tau, phi) for reconstructing `w` as
     tau * wb + phi, assuming wb = sign_binarize(w) so that sum(w * wb)
     equals the l1 norm of w.
 
-    Raises DegenerateSignError when the sign vector is constant (p in
-    {0, 1}); use fit_omega for the total version with the constant-layer
-    fallback. A result with tau <= 0 is returned as-is (non-canonical);
-    consumers go through OmegaParams.canonical().
+    A constant sign vector (p in {0, 1}) has no unique two-value fit and
+    yields the degenerate tau = 0, phi = mean(w): the layer carries no
+    binary information and reconstructs as a constant. A result with
+    tau <= 0 is returned as-is (non-canonical); consumers go through
+    OmegaParams.canonical().
     """
     w, wb, stats = _fit_inputs(w, wb)
     if stats.u == 0 or stats.l == 0:
-        raise DegenerateSignError(
-            f"constant sign vector (p = {stats.p}); no unique two-value fit"
-        )
+        return OmegaParams(tau=0.0, phi=float(np.mean(w)))
     n = stats.n
     s = 2.0 * stats.p - 1.0
     l1 = float(np.sum(np.abs(w)))
@@ -180,17 +163,6 @@ def fit_omega_closed_form(w, wb) -> OmegaParams:
     tau = (l1 - s * total) / denom
     phi = (total - s * l1) / denom
     return OmegaParams(tau=tau, phi=phi)
-
-
-def fit_omega(w, wb) -> OmegaParams:
-    """fit_omega_closed_form with the degenerate fallback: a constant sign
-    vector yields the degenerate tau = 0, phi = mean(w) (the layer carries no
-    binary information and reconstructs as a constant)."""
-    try:
-        return fit_omega_closed_form(w, wb)
-    except DegenerateSignError:
-        w = _as_float_vector(w)
-        return OmegaParams(tau=0.0, phi=float(np.mean(w)))
 
 
 def binarization_loss(w, wb, omega: OmegaParams) -> float:
@@ -208,7 +180,7 @@ def grad_binarization_loss(w, wb, omega: OmegaParams):
         d/dtau = 2 * (-||w||_1 + N * (tau + phi * (2p - 1)))
         d/dphi = 2 * (-sum(w) + N * (phi + tau * (2p - 1)))
 
-    Like the closed form, this uses ||w||_1 for sum(w * wb) and therefore
+    Like fit_omega, this uses ||w||_1 for sum(w * wb) and therefore
     assumes wb = sign_binarize(w).
     """
     w, wb, stats = _fit_inputs(w, wb)
@@ -230,16 +202,3 @@ def canonicalize_with_bits(omega: OmegaParams, bits):
         return omega, bits
     return omega.canonical(), (1 - bits).astype(np.uint8)
 
-
-def map_zeroone_to_omega(bits, omega: OmegaParams):
-    """Reconstruct real weights from {0,1} bits: out = (bit + xi) * eta,
-    i.e. bit 0 -> alpha, bit 1 -> beta. The raw (xi, eta) of the given
-    omega are used, so the mapping is value-faithful even for a
-    non-canonical domain; degenerate omegas reconstruct as the constant
-    phi."""
-    bits = np.asarray(bits)
-    if bits.size and (int(bits.min()) < 0 or int(bits.max()) > 1):
-        raise ValidationError("bits must be in {0, 1}")
-    if omega.degenerate:
-        return np.full(bits.shape, omega.phi, dtype=np.float64)
-    return (bits.astype(np.float64) + omega.xi) * omega.eta

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import _kernels
 from .binquant import DataError, OmegaParams, ValidationError
-from .nn import MAX_CONV_PADDING, _im2col, _window_rows
+from .nn import MAX_CONV_PADDING, _conv_apply, _im2col, _window_rows
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ class FusedThreshold:
 def affine_remap(z_prime, q, omega: OmegaParams):
     """Map sparse {0,1} pre-activations back to the layer domain:
 
-        z = eta * z' + alpha * q        (alpha = xi * eta)
+        z = eta * z' + alpha * q        (eta = beta - alpha)
 
     which equals the dense sum of {alpha, beta} weights times +-1 inputs up
     to the rounding of this two-product sum. This exact expression is the
@@ -507,7 +507,7 @@ class BinStage:
 class FloatStage:
     """Full-precision conv or linear followed by fused batchnorm+sign.
     Consumes raw real inputs (the stem) or +-1 bits (mid-network). Forms the
-    training layer's product (nn.Conv3x3: cols.T @ wf.T over nn._im2col's
+    training layer's product (nn.Conv3x3: nn._conv_apply over nn._im2col's
     windows, padded with 0.0 as a full-precision conv is, also on bits;
     nn.Linear: x @ w.T) with the orientation o folded into the weights:
     negation is exact, so channel c is o[c] times the training output bit
@@ -532,29 +532,26 @@ class FloatStage:
         return f"fp_{self.kind}"
 
     def _prepare(self):
-        """Built lazily: o * W as (out, fan_in) and o * theta."""
+        """Built lazily: o * W as (out, fan_in) and o * theta as (out, 1, 1) or (out,)."""
         if getattr(self, "_weight_o", None) is None:
             o = self.threshold.orientation.astype(np.float64)
             self._weight_o = o[:, None] * self.weight.reshape(self.out_ch, -1)
-            self._theta_o = o * self.threshold.theta
+            shape = (-1, 1, 1) if self.kind == "conv3x3" else -1
+            self._theta_o = (o * self.threshold.theta).reshape(shape)
 
     def forward(self, x, counters: OpsCounters):
         self._prepare()
         x = np.asarray(x, dtype=np.float64)
         if self.takes_bits:
             x = 2.0 * x - 1.0
-        b, conv = x.shape[0], self.kind == "conv3x3"
-        if conv:
+        if self.kind == "conv3x3":
             cols, hw = _im2col(x, self.stride, self.padding, 0.0)  # as nn.Conv3x3 pads it
-            z = cols.T @ self._weight_o.T  # (B*P, out)
+            z = _conv_apply(cols.T, self._weight_o, hw)  # (B, out, Ho, Wo)
         else:
-            z = x.reshape(b, -1) @ self._weight_o.T
-        bits = np.greater_equal(z, self._theta_o).view(np.uint8)
-        macs = self._weight_o.size * z.shape[0]
+            z = x.reshape(x.shape[0], -1) @ self._weight_o.T
+        macs = self._weight_o.size * (z.size // self.out_ch)
         counters.add_layer(self.label, flops=int(2 * macs + z.size), position_ops=0)
-        if not conv:
-            return bits
-        return bits.reshape(b, -1, self.out_ch).transpose(0, 2, 1).reshape(b, self.out_ch, *hw)
+        return np.greater_equal(z, self._theta_o).view(np.uint8)
 
 
 @dataclass

@@ -391,7 +391,7 @@ class BatchNorm(Layer):
 class SignAct(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
-        self._cache = ste_mask(x)  # all the straight-through backward reads
+        self._cache = ste_mask(x) if train else None  # all the straight-through backward reads
         return _binarize(x)
 
     def backward(self, grad_out):

@@ -1,17 +1,14 @@
-"""Entropy budget machinery and the sparsity penalty.
+"""Entropy budget and the sparsity penalty.
 
-A budget caps the fraction of 1-valued bits in the network: a target
-bit-width h_star (bits/weight) converts through the inverse binary entropy
-into p_star = h^-1(h_star) on [0, 1/2], a maximum count of ones
-M = N * p_star, and the expected-connections fraction EC = M / N = p_star.
-The penalty is the hinge ReLU(ones_fraction - EC); its weight lambda is
-re-solved every step so the penalty term stays a fixed fraction gamma of
-the total loss.
+A target bit-width h_star (bits/weight) caps the fraction of 1-valued bits
+in the network at EC = h^-1(h_star), the inverse binary entropy on
+[0, 1/2]: a network of N weights may hold M = N * EC ones. TrainConfig.ec
+derives EC this way. The penalty is the hinge ReLU(ones_fraction - EC); its
+weight lambda is re-solved every step so the penalty term stays a fixed
+fraction gamma of the total loss.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,41 +47,15 @@ def inverse_binary_entropy(h_star: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class SparsityBudget:
-    """Entropy budget for a network of `n` weights: at most `m` ones."""
-
-    h_star: float
-    n: int
-    p_star: float
-    m: float
-    ec: float
-
-
-def make_budget(h_star: float, n: int) -> SparsityBudget:
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    p_star = inverse_binary_entropy(h_star)
-    return SparsityBudget(h_star=h_star, n=n, p_star=p_star, m=n * p_star, ec=p_star)
-
-
-def penalty_g(bits, ec: float) -> float:
-    """Hinge penalty on the {0,1} weights of the whole network:
-    max(0, ones/N - ec)."""
-    bits = np.asarray(bits)
-    n = bits.size
-    if n < 1:
-        raise ValidationError("empty bit vector")
-    ones = int(np.count_nonzero(bits))
-    return max(0.0, ones / n - ec)
-
-
 def penalty_j(wb, ec: float) -> float:
-    """The same hinge on sign weights: max(0, sum((wb+1)/2)/N - ec), which
-    is penalty_g of the +1 positions. This is the form the training loop
-    differentiates (subgradient 1/(2N) per weight while active, 0 at the
-    hinge point)."""
-    return penalty_g(np.asarray(wb) == 1, ec)
+    """Hinge penalty on the sign weights of the whole network:
+    max(0, ones/N - ec), the ones being the +1 entries (bit = (wb+1)/2).
+    This is the form the training loop differentiates (subgradient 1/(2N)
+    per weight while active, 0 at the hinge point)."""
+    wb = np.asarray(wb)
+    if wb.size < 1:
+        raise ValidationError("empty sign vector")
+    return max(0.0, int(np.count_nonzero(wb == 1)) / wb.size - ec)
 
 
 def lambda_update(loss_bnn: float, j_value: float, gamma: float) -> float:

@@ -167,14 +167,16 @@ def sbnn_step(network: Network, xb, yb, gamma, ec):
 def train(network: Network, dataset, cfg: TrainConfig) -> TrainReport:
     """Run cfg.epochs of minibatch Adam on `dataset`, an (images, labels)
     pair; accuracy is reported on it, by evaluate. epochs = 0 leaves the
-    network at initialization and returns an empty report. A spec that
-    quantize_network cannot fold is rejected before the first step."""
+    network at initialization and returns an empty report. A spec quantize_network
+    cannot fold, or augment on images not (N, C, H, W), fails before the first step."""
     check_foldable(network.spec)
     images, labels = dataset
     if images.shape[0] < 1:
         raise DataError("empty dataset")
     if not np.isfinite(images).all():
         raise DataError("images hold NaN or infinite values")
+    if cfg.augment and images.ndim != 4:
+        raise ValidationError(f"augment shifts and flips (N, C, H, W) images, not {images.shape}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     opt = Adam(network.params())
     report = TrainReport()

@@ -52,7 +52,7 @@ def test_criterion_1_closed_form_optimality(announce):
         n = int(rng.integers(4, 65))
         w = rand_nondegenerate(rng, n)
         wb = bq.sign_binarize(w)
-        om = bq.fit_omega_closed_form(w, wb)
+        om = bq.fit_omega(w, wb)
         loss_cf = bq.binarization_loss(w, wb, om)
         # grid at step 1e-2 over [-2,2]^2, golden-section refined
         t_o, p_o, best = brute_force_omega(w, wb, step=1e-2)
@@ -132,17 +132,17 @@ def test_criterion_3_entropy_budget(announce):
         assert sparsity.binary_entropy(sparsity.inverse_binary_entropy(y)) == pytest.approx(
             y, abs=1e-10
         )
-    budget = sparsity.make_budget(0.5, 1000)
+    # M = N * EC ones for N = 1000 weights at h* = 0.5
+    ec = sparsity.inverse_binary_entropy(0.5)
     oracle = bisect_entropy_inverse(0.5) * 1000
-    assert budget.m == pytest.approx(110.03, abs=0.005)
-    assert budget.m == pytest.approx(oracle, abs=1e-6)
+    assert 1000 * ec == pytest.approx(110.03, abs=0.005)
+    assert 1000 * ec == pytest.approx(oracle, abs=1e-6)
     # U <= M <=> penalty-free, exhaustively for N <= 20
-    ec = budget.ec
     for n in range(1, 21):
         m = n * ec
         for ones in range(n + 1):
-            bits = np.array([1] * ones + [0] * (n - ones), dtype=np.uint8)
-            assert (sparsity.penalty_g(bits, ec) == 0.0) == (ones <= m)
+            wb = np.array([1] * ones + [-1] * (n - ones), dtype=np.int8)
+            assert (sparsity.penalty_j(wb, ec) == 0.0) == (ones <= m)
 
 
 # ---------------------------------------------------------------------------

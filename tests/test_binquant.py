@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbnn import binquant as bq
+from sbnn import engine
 
 from helpers import brute_force_omega, central_diff, masked_sign_binarize, quant_sq_loss
 
@@ -98,20 +99,20 @@ class TestOmegaParams:
         assert om.alpha == pytest.approx(-0.55, rel=1e-12)
         assert om.beta == pytest.approx(0.65, rel=1e-12)
         assert om.eta == pytest.approx(1.2)
-        assert om.alpha == pytest.approx(om.xi * om.eta, rel=1e-12)
-        assert om.beta == pytest.approx((1 + om.xi) * om.eta, rel=1e-12)
+        assert om.beta == pytest.approx(om.alpha + om.eta, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.37, 1.0, 42.0, 1e3])
     def test_round_trip_tau_phi(self, tau):
         om = bq.OmegaParams(tau=tau, phi=0.123)
-        back = bq.OmegaParams.from_xi_eta(om.xi, om.eta)
+        # (eta, alpha), the pair the engine's remap reads, determines the domain
+        back = bq.OmegaParams(tau=om.eta / 2.0, phi=om.alpha + om.eta / 2.0)
         assert back.tau == pytest.approx(tau, rel=1e-12)
         assert back.phi == pytest.approx(0.123, rel=1e-12)
 
     def test_pm1_domain(self):
         om = bq.PM1_DOMAIN
         assert (om.alpha, om.beta) == (-1.0, 1.0)
-        assert (om.xi, om.eta) == (-0.5, 2.0)
+        assert (om.alpha, om.eta) == (-1.0, 2.0)
 
     @pytest.mark.parametrize("tau, degenerate", [(0.0, True), (-0.0, True), (5e-324, False),
                                                  (-0.4, False), (np.nan, False)])
@@ -126,10 +127,10 @@ class TestOmegaParams:
     def test_canonicalize_with_bits_preserves_values(self):
         om = bq.OmegaParams(tau=-0.4, phi=0.1)
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        before = bq.map_zeroone_to_omega(bits, om)
+        before = np.where(bits == 1, om.beta, om.alpha)
         om2, bits2 = bq.canonicalize_with_bits(om, bits)
         assert om2.tau > 0
-        after = bq.map_zeroone_to_omega(bits2, om2)
+        after = np.where(bits2 == 1, om2.beta, om2.alpha)
         assert np.array_equal(before, after)
 
 
@@ -153,14 +154,14 @@ class TestQuantStats:
 class TestFitOmega:
     def test_spec_example_p_half(self):
         w = np.array([0.5, -0.2, 0.8, -0.9])
-        om = bq.fit_omega_closed_form(w, bq.sign_binarize(w))
+        om = bq.fit_omega(w, bq.sign_binarize(w))
         # frozen from the grid + golden-section oracle
         assert om.tau == pytest.approx(0.6, abs=1e-12)
         assert om.phi == pytest.approx(0.05, abs=1e-12)
 
     def test_spec_example_p_three_quarters(self):
         w = np.array([0.3, 0.7, -0.5, 0.9])
-        om = bq.fit_omega_closed_form(w, bq.sign_binarize(w))
+        om = bq.fit_omega(w, bq.sign_binarize(w))
         assert om.tau == pytest.approx(1.7 / 3, rel=1e-12)
         assert om.phi == pytest.approx(0.2 / 3, rel=1e-12)
 
@@ -171,14 +172,14 @@ class TestFitOmega:
             w = rand_weights(rng, n)
             wb = bq.sign_binarize(w)
             t_star, p_star, best = brute_force_omega(w, wb)
-            om = bq.fit_omega_closed_form(w, wb)
+            om = bq.fit_omega(w, wb)
             assert bq.binarization_loss(w, wb, om) <= best + 1e-9
 
     def test_p_half_gives_classical_tau(self):
         rng = np.random.default_rng(11)
         w = rng.uniform(0.1, 1.0, size=10)
         w[5:] *= -1.0  # exactly half positive
-        om = bq.fit_omega_closed_form(w, bq.sign_binarize(w))
+        om = bq.fit_omega(w, bq.sign_binarize(w))
         assert om.tau == pytest.approx(np.abs(w).mean(), rel=1e-15)
         assert om.phi == pytest.approx(w.mean(), rel=1e-12)
 
@@ -189,15 +190,19 @@ class TestFitOmega:
             wb = bq.sign_binarize(w)
             st_ = bq.quant_stats(wb)
             s = 2 * st_.p - 1
-            om = bq.fit_omega_closed_form(w, wb)
+            om = bq.fit_omega(w, wb)
             l1 = np.abs(w).sum()
             assert om.tau == pytest.approx(l1 / st_.n - om.phi * s, rel=1e-12, abs=1e-12)
             assert om.phi == pytest.approx(w.sum() / st_.n - om.tau * s, rel=1e-12, abs=1e-12)
 
     def test_degenerate_raises(self):
-        w = np.array([0.5, 0.2, 0.8])
-        with pytest.raises(bq.DegenerateSignError):
-            bq.fit_omega_closed_form(w, bq.sign_binarize(w))
+        # a constant sign vector fits the constant layer: tau = 0, phi = mean(w)
+        w = np.array([-0.5, -0.2, -0.8])
+        om = bq.fit_omega(w, bq.sign_binarize(w))
+        assert (om.tau, om.phi) == (0.0, np.mean(w))
+        # a sign vector outside {-1, +1} raises
+        with pytest.raises(bq.ValidationError, match="outside"):
+            bq.fit_omega(w, np.zeros(3, dtype=np.int8))
 
     def test_fit_omega_fallback(self):
         w = np.array([0.5, 0.2, 0.8])
@@ -220,7 +225,7 @@ class TestBinarizationLoss:
     def test_optimum_matches_oracle_minimum(self):
         w = np.array([0.5, -0.2, 0.8, -0.9])
         wb = bq.sign_binarize(w)
-        om = bq.fit_omega_closed_form(w, wb)
+        om = bq.fit_omega(w, wb)
         _, _, best = brute_force_omega(w, wb)
         assert bq.binarization_loss(w, wb, om) == pytest.approx(best, abs=1e-9)
 
@@ -231,7 +236,7 @@ class TestGradBinarizationLoss:
         for _ in range(30):
             w = rand_weights(rng, int(rng.integers(3, 33)))
             wb = bq.sign_binarize(w)
-            om = bq.fit_omega_closed_form(w, wb)
+            om = bq.fit_omega(w, wb)
             dt, dp = bq.grad_binarization_loss(w, wb, om)
             assert abs(dt) < 1e-9 and abs(dp) < 1e-9
 
@@ -257,22 +262,23 @@ class TestGradBinarizationLoss:
 
 
 class TestMapZeroOne:
+    """Bits map to the domain through the engine's remap: with one +1 input
+    per weight, z = eta * bit + alpha is the weight's value."""
+
     def test_pm1_bit_one(self):
-        om = bq.OmegaParams.from_xi_eta(-0.5, 2.0)
-        assert bq.map_zeroone_to_omega(np.array([1]), om)[0] == 1.0
+        assert engine.affine_remap(np.array([1]), 1, bq.PM1_DOMAIN)[0] == 1.0
 
     def test_pm1_bit_zero(self):
-        om = bq.OmegaParams.from_xi_eta(-0.5, 2.0)
-        assert bq.map_zeroone_to_omega(np.array([0]), om)[0] == -1.0
+        assert engine.affine_remap(np.array([0]), 1, bq.PM1_DOMAIN)[0] == -1.0
 
     def test_bit_zero_is_alpha(self):
         om = bq.OmegaParams(tau=0.37, phi=-0.2)
-        got = bq.map_zeroone_to_omega(np.array([0]), om)[0]
+        got = engine.affine_remap(np.array([0]), 1, om)[0]
         assert got == pytest.approx(om.alpha, rel=1e-12)
 
     def test_degenerate_constant(self):
         om = bq.OmegaParams(tau=0.0, phi=0.25)
-        out = bq.map_zeroone_to_omega(np.array([0, 1, 1]), om)
+        out = engine.affine_remap(np.array([0, 1, 1]), 1, om)
         assert np.all(out == 0.25)
 
 
@@ -305,7 +311,7 @@ def test_closed_form_never_beaten_by_grid(values):
     stats = bq.quant_stats(wb)
     if stats.u == 0 or stats.l == 0:
         return
-    om = bq.fit_omega_closed_form(w, wb)
+    om = bq.fit_omega(w, wb)
     loss_opt = bq.binarization_loss(w, wb, om)
     taus = np.linspace(-2, 2, 41)
     phis = np.linspace(-2, 2, 41)

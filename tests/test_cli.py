@@ -22,7 +22,7 @@ from helpers import (
     write_idx_labels,
 )
 from sbnn import cli, dataio, engine, modelio, nn
-from sbnn.binquant import DataError, DegenerateSignError, ValidationError
+from sbnn.binquant import DataError, ValidationError
 from sbnn.cli import main
 from sbnn.train import SnapshotError, load_snapshot
 
@@ -912,7 +912,7 @@ class TestErrorClassPicksExitCode:
 
     @pytest.mark.parametrize(
         "cls, code",
-        [(cls, 3) for cls in DATA_ERRORS] + [(ValidationError, 2), (DegenerateSignError, 2)],
+        [(cls, 3) for cls in DATA_ERRORS] + [(ValidationError, 2)],
         ids=lambda v: v.__qualname__ if isinstance(v, type) else str(v),
     )
     def test_raised_class(self, monkeypatch, capsys, cls, code):
@@ -974,6 +974,8 @@ class TestBadInput:
             (["--lr", "inf"], "learning_rate = inf is not finite and > 0"),
             (["--lr", "-1"], "learning_rate = -1.0 is not finite and > 0"),
             (["--lr", "0"], "learning_rate = 0.0 is not finite and > 0"),
+            # the mlp trains on flat (N, features) images
+            (["--arch", "mlp", "--augment"], "augment shifts and flips (N, C, H, W) images"),
         ],
     )
     def test_train_config_error(self, tmp_path, capsys, flags, message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sbnn import engine, nn
-from sbnn.binquant import OmegaParams, ValidationError
+from sbnn.binquant import PM1_DOMAIN, OmegaParams, ValidationError
 
 from helpers import (
     channel_decide,
@@ -191,7 +191,7 @@ class TestFloatStageAndHeadShapes:
 
 class TestAffineRemap:
     def test_pm1_recovery(self):
-        om = OmegaParams.from_xi_eta(-0.5, 2.0)
+        om = PM1_DOMAIN
         # w01 = [1, 0], x = [+1, +1]: z' = 1, q = 2 -> z = 2*1 - 2 = 0
         assert engine.affine_remap(1, 2, om) == 0.0
 
@@ -210,7 +210,7 @@ class TestAffineRemap:
             om = OmegaParams(
                 tau=float(rng.uniform(0.05, 2.0)), phi=float(rng.uniform(-1, 1))
             )
-            w_real = (w01 + om.xi) * om.eta
+            w_real = np.where(w01 == 1, om.beta, om.alpha)
             dense = float(np.dot(w_real, x))
             zprime = int(np.dot(w01, x))
             q = int(x.sum())

@@ -134,7 +134,7 @@ class TestLayers:
 
     def test_sign_act_ste_backward(self):
         layer = nn.SignAct(nn.LayerSpec("signact"))
-        layer.forward(np.array([[0.5, 1.5, -1.0]]))
+        layer.forward(np.array([[0.5, 1.5, -1.0]]), train=True)
         g = layer.backward(np.array([[1.0, 1.0, 1.0]]))
         assert g.tolist() == [[1.0, 0.0, 1.0]]
 

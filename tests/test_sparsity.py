@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sbnn import sparsity as sp
 from sbnn.binquant import ValidationError
+from sbnn.train import TrainConfig
 
 from helpers import bisect_entropy_inverse
 
@@ -53,40 +54,46 @@ class TestInverseBinaryEntropy:
 
 
 class TestMakeBudget:
+    """The entropy budget: TrainConfig.ec = h^-1(h_star), and a network of N
+    weights may hold M = N * EC ones."""
+
     def test_one_bit_budget(self):
-        b = sp.make_budget(1.0, 1000)
-        assert b.ec == 0.5
-        assert b.m == 500.0
+        ec = TrainConfig(h_star=1.0).ec
+        assert ec == 0.5
+        assert 1000 * ec == 500.0
 
     def test_half_bit_budget(self):
-        b = sp.make_budget(0.5, 1000)
-        assert b.m == pytest.approx(110.03, abs=0.005)
-        assert b.ec == pytest.approx(0.110, abs=5e-4)
+        ec = TrainConfig(h_star=0.5).ec
+        assert 1000 * ec == pytest.approx(110.03, abs=0.005)
+        assert ec == pytest.approx(0.110, abs=5e-4)
 
     def test_zero_budget(self):
-        b = sp.make_budget(0.0, 1000)
-        assert b.m == 0.0 and b.ec == 0.0
+        ec = TrainConfig(h_star=0.0).ec
+        assert 1000 * ec == 0.0 and ec == 0.0
 
     def test_ec_equals_p_star(self):
-        b = sp.make_budget(0.3, 77)
-        assert b.ec == b.p_star
-        assert b.m == 77 * b.p_star
+        p_star = sp.inverse_binary_entropy(0.3)
+        assert TrainConfig(h_star=0.3).ec == p_star
 
     def test_bad_n(self):
+        # a network of N = 0 binarized weights has no ones fraction
         with pytest.raises(ValidationError):
-            sp.make_budget(0.5, 0)
+            sp.penalty_j(np.zeros(0, dtype=np.int8), 0.5)
+
+
+def sign_vector(ones, n):
+    return np.array([1] * ones + [-1] * (n - ones), dtype=np.int8)
 
 
 class TestPenalties:
     def test_all_zero_bits(self):
-        assert sp.penalty_g(np.zeros(40, dtype=np.uint8), 0.05) == 0.0
+        assert sp.penalty_j(sign_vector(0, 40), 0.05) == 0.0
 
     def test_all_one_bits(self):
-        assert sp.penalty_g(np.ones(40, dtype=np.uint8), 0.05) == pytest.approx(0.95)
+        assert sp.penalty_j(sign_vector(40, 40), 0.05) == pytest.approx(0.95)
 
     def test_three_of_ten(self):
-        bits = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        assert sp.penalty_g(bits, 0.05) == pytest.approx(0.25)
+        assert sp.penalty_j(sign_vector(3, 10), 0.05) == pytest.approx(0.25)
 
     def test_j_all_minus(self):
         assert sp.penalty_j(np.full(12, -1, dtype=np.int8), 0.05) == 0.0
@@ -99,19 +106,18 @@ class TestPenalties:
         st.floats(min_value=0.0, max_value=0.5),
     )
     def test_j_equals_g_on_bits(self, signs, ec):
+        # the hinge on the {0, 1} bits, bit = (sign + 1) / 2
         wb = np.array(signs, dtype=np.int8)
         bits = ((wb + 1) // 2).astype(np.uint8)
-        assert sp.penalty_j(wb, ec) == sp.penalty_g(bits, ec)
+        assert sp.penalty_j(wb, ec) == max(0.0, int(bits.sum()) / bits.size - ec)
 
     def test_zero_iff_under_budget(self):
         # exhaustive for all n <= 20 and all one-counts
-        budget_ec = sp.make_budget(0.5, 1)  # ec ~ 0.1100
-        ec = budget_ec.ec
+        ec = sp.inverse_binary_entropy(0.5)  # ~ 0.1100
         for n in range(1, 21):
             m = n * ec
             for ones in range(n + 1):
-                bits = np.array([1] * ones + [0] * (n - ones), dtype=np.uint8)
-                free = sp.penalty_g(bits, ec) == 0.0
+                free = sp.penalty_j(sign_vector(ones, n), ec) == 0.0
                 assert free == (ones <= m)
 
 

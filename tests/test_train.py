@@ -105,6 +105,15 @@ class TestTrainLoop:
             train(net, (images, labels), cfg)
         assert all(np.array_equal(before[n], p.value) for n, p in net.params())
 
+    def test_augment_on_flat_images_rejected_before_a_step(self):
+        net, data, cfg, ds = small_setup()
+        cfg.augment = True
+        before = {n: p.value.copy() for n, p in net.params()}
+        with pytest.raises(ValidationError, match=r"\(N, C, H, W\) images, not \(96, 36\)"):
+            train(net, data, cfg)
+        assert all(np.array_equal(before[n], p.value) for n, p in net.params())
+        assert all(layer._cache is None for layer in net.layers)
+
     def test_gamma_zero_is_pure_task_loss(self):
         net, data, cfg, ds = small_setup(gamma=0.0, epochs=3)
         report = train(net, data, cfg)
